@@ -39,6 +39,7 @@ from .instance import (
     compute_nu,
     cost_function,
     cost_weight,
+    coupling_field,
     decode_solution,
     estimated_route_length,
     generate_map,
@@ -46,7 +47,7 @@ from .instance import (
     route_length,
     save_map,
 )
-from .solver import DEFAULT_MAX_ITERS, TrialResult, check_termination, run_trial
+from .solver import DEFAULT_MAX_ITERS, TrialResult, run_trial
 
 __version__ = "0.1.0"
 
@@ -55,9 +56,9 @@ __all__ = [
     "DEFAULT_INIT_LEVEL", "DEFAULT_MAX_ITERS", "ElementA", "ElementB", "ElementC",
     "GenMeta", "InvalidInstanceError", "ParamSet", "ScalingFit", "SigmoidParams",
     "StepDiagnostics", "TrialResult", "TspInstance", "VariantConfig", "aggregate",
-    "brute_force_optimum", "check_termination", "compute_I_and_S", "compute_L",
+    "brute_force_optimum", "compute_I_and_S", "compute_L",
     "compute_O", "compute_nu", "conservation_residual", "cost_function",
-    "cost_weight", "decode_solution", "estimated_route_length", "fit_scaling",
+    "cost_weight", "coupling_field", "decode_solution", "estimated_route_length", "fit_scaling",
     "generate_map", "initial_level", "load_map", "preset", "route_length", "run_batch",
     "run_sweep", "run_trial", "sample_fluctuations", "save_map", "sigmoid", "step",
 ]

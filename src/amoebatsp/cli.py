@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 from .dynamics import ElementA, ElementB, ElementC, VariantConfig, conservation_residual
 from .harness import (
@@ -34,9 +35,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2
 
-CONFIG_KEYS = {"preset", "element_a", "element_b", "i_scale", "element_c", "normal_sd",
-               "trials", "max_iters", "global_seed", "map_policy", "map_seed",
-               "n", "n_list", "workers", "init_level", "out", "plot_iters", "plot_ratio"}
+# Element flags and how each turns into a VariantConfig field; a flag left
+# out keeps VariantConfig's default.
+ELEMENT_FIELDS = {"element_a": ElementA, "element_b": ElementB, "i_scale": float,
+                  "element_c": lambda flags: frozenset(map(ElementC, flags)),
+                  "normal_sd": float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,38 +49,67 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _variant_from_args(args) -> VariantConfig:
-    if args.preset is not None:
-        return preset(args.preset)
-    element_c = frozenset(ElementC(flag) for flag in (args.element_c or []))
-    return VariantConfig(
-        element_a=ElementA(args.element_a),
-        element_b=ElementB(args.element_b),
-        i_scale=args.i_scale,
-        element_c=element_c,
-        normal_sd=args.normal_sd,
-    )
+def _variant(parser, args) -> tuple[str, VariantConfig]:
+    """Variant name and configuration from --preset or the element flags."""
+    given = {key: convert(getattr(args, key)) for key, convert in ELEMENT_FIELDS.items()
+             if getattr(args, key) is not None}
+    if args.preset is None:
+        return "custom", VariantConfig(**given)
+    if given:
+        parser.error("--preset and explicit element flags are mutually exclusive")
+    return args.preset, preset(args.preset)
 
 
 def _add_variant_flags(parser):
     parser.add_argument("--preset", choices=sorted(PRESETS), default=None,
                         help="named variant; mutually exclusive with element flags")
-    parser.add_argument("--element-a", dest="element_a", default="uniform",
-                        choices=[e.value for e in ElementA])
-    parser.add_argument("--element-b", dest="element_b", default="original",
-                        choices=[e.value for e in ElementB])
-    parser.add_argument("--i-scale", dest="i_scale", type=float, default=1.0)
+    parser.add_argument("--element-a", dest="element_a", choices=[e.value for e in ElementA])
+    parser.add_argument("--element-b", dest="element_b", choices=[e.value for e in ElementB])
+    parser.add_argument("--i-scale", dest="i_scale", type=float)
     parser.add_argument("--element-c", dest="element_c", action="append",
                         choices=[e.value for e in ElementC],
                         help="repeatable flag replacements")
-    parser.add_argument("--normal-sd", dest="normal_sd", type=float, default=0.003)
+    parser.add_argument("--normal-sd", dest="normal_sd", type=float)
 
 
-def _check_variant_exclusivity(parser, args):
-    explicit = (args.element_a != "uniform" or args.element_b != "original"
-                or args.i_scale != 1.0 or args.element_c or args.normal_sd != 0.003)
-    if args.preset is not None and explicit:
-        parser.error("--preset and explicit element flags are mutually exclusive")
+def _n_list(text):
+    try:
+        return [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad n-list: {text!r}") from None
+
+
+def _with_config(parser, argv, path):
+    """Parse argv again with a JSON run-config's entries appended as flags.
+
+    Each entry goes through the command's own flag, so it is checked like
+    one and wins over the same flag given earlier on the command line. A
+    list of strings repeats its flag; any other list becomes one
+    comma-separated value. A value must be a JSON string exactly when its
+    flag takes text.
+    """
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        parser.error("config must be a JSON object")
+    tokens = {}
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(value, list):
+            tokens[key] = [f"{flag}={value}"]
+        elif all(isinstance(v, str) for v in value):
+            tokens[key] = [f"{flag}={v}" for v in value]
+        else:
+            tokens[key] = [f"{flag}={','.join(map(str, value))}"]
+    args, unknown = parser.parse_known_args(argv + [t for ts in tokens.values() for t in ts])
+    bad = [key for key, ts in tokens.items()
+           if key == "config" or not hasattr(args, key) or set(ts) & set(unknown)]
+    if bad:
+        parser.error(f"config keys with no flag on {args.command}: {bad}")
+    for key, value in data.items():
+        if isinstance(value, str) != isinstance(getattr(args, key), str):
+            parser.error(f"config key {key!r}: expected {type(getattr(args, key)).__name__}, "
+                         f"got {value!r}")
+    return args
 
 
 def _add_run_flags(parser):
@@ -99,9 +131,8 @@ def cmd_gen_map(args) -> int:
 
 
 def cmd_solve(args, parser) -> int:
-    _check_variant_exclusivity(parser, args)
+    _, cfg = _variant(parser, args)
     inst = load_map(args.map)
-    cfg = _variant_from_args(args)
     params = ParamSet.for_instance(inst)
     result = run_trial(inst, params, cfg, seed=args.seed, max_iters=args.max_iters,
                        trace=args.trace is not None, init_level=args.init_level)
@@ -125,44 +156,10 @@ def cmd_solve(args, parser) -> int:
     return EXIT_NO_SOLUTION
 
 
-def _load_config(parser, args, required):
-    """Merge a JSON run-config file into args; unknown keys are rejected."""
-    from pathlib import Path
-
-    data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
-    if "preset" in data and any(k in data for k in ("element_a", "element_b", "element_c")):
-        parser.error("config: preset and explicit element fields are mutually exclusive")
-    for key, value in data.items():
-        setattr(args, key, value)
-    for key in required:
-        if getattr(args, key, None) is None:
-            parser.error(f"config missing required key: {key}")
-    return args
-
-
-def _batch_variant(parser, args):
-    if getattr(args, "preset", None) is not None:
-        return args.preset, preset(args.preset)
-    element_c = frozenset(ElementC(flag) for flag in (getattr(args, "element_c", None) or []))
-    cfg = VariantConfig(element_a=ElementA(getattr(args, "element_a", "uniform")),
-                        element_b=ElementB(getattr(args, "element_b", "original")),
-                        i_scale=getattr(args, "i_scale", 1.0),
-                        element_c=element_c,
-                        normal_sd=getattr(args, "normal_sd", 0.003))
-    return "custom", cfg
-
-
 def cmd_batch(args, parser) -> int:
-    if args.config:
-        _load_config(parser, args, required=["n"])
-    else:
-        _check_variant_exclusivity(parser, args)
     if args.n is None:
         parser.error("--n is required")
-    name, cfg = _batch_variant(parser, args)
+    name, cfg = _variant(parser, args)
     stats = run_batch(args.n, args.trials, cfg, global_seed=args.global_seed,
                       max_iters=args.max_iters, map_policy=args.map_policy,
                       map_seed=args.map_seed, init_level=args.init_level,
@@ -176,19 +173,13 @@ def cmd_batch(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    if args.config:
-        _load_config(parser, args, required=["n_list"])
-        n_list = args.n_list
-    else:
-        _check_variant_exclusivity(parser, args)
-        n_list = _parse_n_list(parser, args.n_list)
-    if not n_list:
-        parser.error("n-list must not be empty")
-    name, cfg = _batch_variant(parser, args)
-    stats = run_sweep(list(n_list), args.trials, cfg, global_seed=args.global_seed,
+    if not args.n_list:
+        parser.error("--n-list must name at least one city count")
+    name, cfg = _variant(parser, args)
+    stats = run_sweep(args.n_list, args.trials, cfg, global_seed=args.global_seed,
                       max_iters=args.max_iters, map_policy=args.map_policy,
-                      init_level=args.init_level, workers=args.workers,
-                      variant_name=name)
+                      map_seed=args.map_seed, init_level=args.init_level,
+                      workers=args.workers, variant_name=name)
     write_results_csv(stats, args.out)
     for s in stats:
         print(f"n={s.n}: success_rate={s.success_rate:.3f} "
@@ -222,11 +213,11 @@ def cmd_reproduce(args, parser) -> int:
     rows = []
     all_ok = True
     if args.table == "5":
-        n_list = _parse_n_list(parser, args.n_list) if args.n_list else [10, 20, 50, 100]
+        n_list = args.n_list or [10, 20, 50, 100]
         for n in n_list:
             if n not in REFERENCE_IMPROVED_SWEEP:
                 parser.error(f"no reference row for n={n}")
-        stats = run_sweep(list(n_list), args.trials, preset("improved"),
+        stats = run_sweep(n_list, args.trials, preset("improved"),
                           global_seed=args.global_seed, workers=args.workers,
                           init_level=args.init_level)
         for s in stats:
@@ -265,13 +256,6 @@ def cmd_reproduce(args, parser) -> int:
     return EXIT_OK
 
 
-def _parse_n_list(parser, text):
-    try:
-        return [int(tok) for tok in str(text).replace(",", " ").split()]
-    except ValueError:
-        parser.error(f"bad n-list: {text!r}")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="amoebatsp",
                      description="Amoeba-inspired TSP dynamics: solve, ablate, benchmark.")
@@ -298,7 +282,7 @@ def build_parser() -> _Parser:
         if name == "batch":
             p.add_argument("--n", type=int, default=None)
         else:
-            p.add_argument("--n-list", dest="n_list", default=None,
+            p.add_argument("--n-list", dest="n_list", type=_n_list, default=None,
                            help="comma-separated city counts")
             p.add_argument("--plot-iters", dest="plot_iters", default=None)
             p.add_argument("--plot-ratio", dest="plot_ratio", default=None)
@@ -322,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--global-seed", dest="global_seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_init_level_flag(p)
-    p.add_argument("--n-list", dest="n_list", default=None,
+    p.add_argument("--n-list", dest="n_list", type=_n_list, default=None,
                    help="city counts for table 5 (default: 10,20,50,100)")
     p.add_argument("--iters-tol", dest="iters_tol", type=float, default=0.15,
                    help="relative tolerance on mean iterations")
@@ -335,8 +319,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = _with_config(parser, argv, args.config)
         if args.command == "gen-map":
             return cmd_gen_map(args)
         if args.command == "solve":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ParamSet, TspInstance
+from .instance import ParamSet, TspInstance, coupling_field
 
 # Uniform start level at n = INIT_LEVEL_N cities; initial_level(n) carries
 # it to other sizes. The update rules leave a zero-start state permanently
@@ -89,8 +89,10 @@ class AmoebaState:
     t: int = 0
 
     @classmethod
-    def initial(cls, n: int, level: float = DEFAULT_INIT_LEVEL) -> "AmoebaState":
-        """Every lane at one level; run_trial passes initial_level(n)."""
+    def initial(cls, n: int, level: float | None = None) -> "AmoebaState":
+        """Every lane at one level, by default initial_level(n)."""
+        if level is None:
+            level = initial_level(n)
         return cls(x=np.full((n, n), float(level)), stock=0.0, t=0)
 
 
@@ -139,19 +141,13 @@ def initial_level(n: int) -> float:
 
 def _logistic(z):
     """Numerically stable 1 / (1 + exp(-z))."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def sigmoid(p: SigmoidParams, x):
     """Logistic response with gain p.gamma around threshold p.theta."""
-    result = _logistic(p.gamma * (np.asarray(x, dtype=float) - p.theta))
-    return float(result) if np.isscalar(x) or np.ndim(x) == 0 else result
+    return _logistic(p.gamma * (np.asarray(x, dtype=float) - p.theta))
 
 
 def _unit_step(x):
@@ -164,25 +160,17 @@ def compute_L(x: np.ndarray, params: ParamSet, inst: TspInstance,
     """Illumination values for every lane from the current branch lengths.
 
     The inner response of each branch is summed through the lane-coupling
-    weights (row and column conflicts plus cyclically adjacent distance
-    costs), and the outer response of that field is inverted: a lane is
-    illuminated when its accumulated cost pressure exceeds the outer
-    threshold. L_INNER_STEP and L_OUTER_STEP harden the respective
-    sigmoids into unit steps.
+    weights by coupling_field (row and column conflicts plus cyclically
+    adjacent distance costs), and the outer response of that field is
+    inverted: a lane is illuminated when its accumulated cost pressure
+    exceeds the outer threshold. L_INNER_STEP and L_OUTER_STEP harden the
+    respective sigmoids into unit steps.
     """
-    n = inst.n
     if ElementC.L_INNER_STEP in cfg.element_c:
         inner = _unit_step(x - INNER_SIGMOID.theta)
     else:
         inner = sigmoid(INNER_SIGMOID, x)
-    row_sums = inner.sum(axis=1, keepdims=True)
-    col_sums = inner.sum(axis=0, keepdims=True)
-    adjacent = np.roll(inner, 1, axis=1) + np.roll(inner, -1, axis=1)
-    # The diagonal of dist is zero, so the same-city column of the distance
-    # term vanishes on its own; row/column terms exclude the lane itself.
-    pressure = -(params.lam * (row_sums - inner)
-                 + params.mu * (col_sums - inner)
-                 + params.nu * (inst.dist @ adjacent))
+    pressure = coupling_field(inner, params, inst)
     if ElementC.L_OUTER_STEP in cfg.element_c:
         outer = _unit_step(pressure - OUTER_SIGMOID.theta)
     else:

@@ -137,14 +137,18 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
     """Run seeded trials of one configuration and aggregate the criteria.
 
     map_policy "fresh" draws a new map per trial (nu recalibrated each
-    time); "fixed" reuses one map seeded by map_seed (derived from
-    global_seed when omitted). init_level None starts every trial at
-    initial_level(n).
+    time) and refuses a map_seed; "fixed" reuses one map seeded by
+    map_seed (derived from global_seed when omitted). init_level None
+    starts every trial at initial_level(n).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if map_policy not in ("fresh", "fixed"):
         raise ValueError(f"unknown map_policy {map_policy!r}")
+    if map_policy == "fresh" and map_seed is not None:
+        raise ValueError("map_seed needs map_policy 'fixed'")
     if map_policy == "fixed" and map_seed is None:
         map_seed = _derive_seed(global_seed, _MAP_STREAM)
     jobs = [(i, n, cfg, global_seed, max_iters, map_policy, map_seed,

@@ -51,6 +51,8 @@ class TspInstance:
         d = np.asarray(self.dist, dtype=float)
         if d.shape != (self.n, self.n):
             raise InvalidInstanceError(f"distance matrix shape {d.shape} != ({self.n}, {self.n})")
+        if not np.isfinite(d).all():
+            raise InvalidInstanceError("distances must be finite")
         if not np.array_equal(d, d.T):
             raise InvalidInstanceError("distance matrix must be symmetric")
         if np.diagonal(d).any():
@@ -196,14 +198,26 @@ def cost_weight(v: int, k: int, u: int, l: int, params: ParamSet, inst: TspInsta
     return 0.0
 
 
+def coupling_field(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.ndarray:
+    """Per lane (v, k), the sum over (u, l) of cost_weight(v, k, u, l) * y[u, l].
+
+    Row and column conflicts exclude the lane itself; the distance term
+    couples cyclically adjacent steps, and the zero diagonal of dist drops
+    its same-city pairs, which the row term already counts.
+    """
+    row_sums = y.sum(axis=1, keepdims=True)
+    col_sums = y.sum(axis=0, keepdims=True)
+    adjacent = np.roll(y, 1, axis=1) + np.roll(y, -1, axis=1)
+    return -(params.lam * (row_sums - y)
+             + params.mu * (col_sums - y)
+             + params.nu * (inst.dist @ adjacent))
+
+
 def cost_function(x_bin: np.ndarray, params: ParamSet, inst: TspInstance) -> float:
-    """Quadratic assignment cost -(1/2) sum of weights over active lane pairs."""
-    active = np.argwhere(np.asarray(x_bin) != 0)
-    total = 0.0
-    for v, k in active:
-        for u, l in active:
-            total += cost_weight(int(v), int(k), int(u), int(l), params, inst)
-    return -0.5 * total
+    """Quadratic assignment cost -(1/2) y . coupling_field(y): for a binary
+    state, minus half the summed weights over pairs of active lanes."""
+    y = np.asarray(x_bin, dtype=float)
+    return -0.5 * float((y * coupling_field(y, params, inst)).sum())
 
 
 def decode_solution(x: np.ndarray) -> DecodedSolution:
@@ -272,12 +286,13 @@ def load_map(path) -> TspInstance:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         n = int(data["n"])
-        flat = data["dist"]
+        flat = np.array(data["dist"], dtype=float)
         gen = data.get("gen")
-    except (KeyError, TypeError) as exc:
+        meta = GenMeta(seed=int(gen["seed"]), mean=float(gen["mean"]), sd=float(gen["sd"])) if gen else None
+    except KeyError as exc:
+        raise InvalidInstanceError(f"malformed map file: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed map file: {exc}") from exc
-    if len(flat) != n * n:
-        raise InvalidInstanceError(f"dist has {len(flat)} entries, expected {n * n}")
-    dist = np.array(flat, dtype=float).reshape(n, n)
-    meta = GenMeta(seed=int(gen["seed"]), mean=float(gen["mean"]), sd=float(gen["sd"])) if gen else None
-    return TspInstance(n=n, dist=dist, gen_meta=meta)
+    if flat.shape != (n * n,):
+        raise InvalidInstanceError(f"dist must be a flat list of {n * n} entries")
+    return TspInstance(n=n, dist=flat.reshape(n, n), gen_meta=meta)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AmoebaState, StepDiagnostics, VariantConfig, initial_level, step
+from .dynamics import AmoebaState, StepDiagnostics, VariantConfig, step
 from .instance import (
     ConfigurationError,
     ParamSet,
@@ -32,11 +32,6 @@ class TrialResult:
     final_x: np.ndarray | None = None
 
 
-def check_termination(x: np.ndarray) -> tuple[int, ...] | None:
-    """Tour iff the thresholded state is a permutation matrix."""
-    return decode_solution(x).tour
-
-
 def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int,
               max_iters: int = DEFAULT_MAX_ITERS, trace: bool = False,
               init_level: float | None = None) -> TrialResult:
@@ -53,15 +48,13 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if init_level is None:
-        init_level = initial_level(inst.n)
     state = AmoebaState.initial(inst.n, level=init_level)
     diags: list[StepDiagnostics] | None = [] if trace else None
     for _ in range(max_iters):
         state, diag = step(state, inst, params, cfg, rng)
         if trace:
             diags.append(diag)
-        tour = check_termination(state.x)
+        tour = decode_solution(state.x).tour
         if tour is not None:
             r_calc = route_length(tour, inst)
             return TrialResult(

@@ -71,10 +71,13 @@ class TestSolve:
         assert lines[0] == "t,L_off,sum_X,S,total_O,residual"
         assert len(lines) - 1 == iterations
 
-    def test_preset_and_elements_conflict(self, map10):
-        code = run_cli(["solve", "--map", str(map10), "--preset", "improved",
-                        "--element-a", "normal"])
-        assert code == EXIT_USAGE
+    def test_preset_and_elements_conflict(self, map10, capsys):
+        # a given element flag conflicts with a preset even at its default value
+        for value in ("normal", "uniform"):
+            code = run_cli(["solve", "--map", str(map10), "--preset", "improved",
+                            "--element-a", value])
+            assert code == EXIT_USAGE
+            assert "mutually exclusive" in capsys.readouterr().err
 
     def test_elements_spell_out_variant(self, map10):
         code = run_cli(["solve", "--map", str(map10), "--element-a", "normal",
@@ -130,6 +133,18 @@ class TestBatchSweepFit:
                         "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    def test_sweep_map_seed_reaches_the_maps(self, tmp_path, capsys):
+        base = ["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2"]
+        code = run_cli(base + ["--map-seed", "77", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE  # fresh maps have no map seed to use
+        assert "error:" in capsys.readouterr().err
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for seed, path in (("77", a), ("78", b)):
+            code = run_cli(base + ["--map-policy", "fixed", "--map-seed", seed,
+                                   "--out", str(path)])
+            assert code == EXIT_OK
+        assert a.read_bytes() != b.read_bytes()
+
     def test_fit_needs_three_sizes(self, tmp_path):
         results = tmp_path / "short.csv"
         run_cli(["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2",
@@ -150,17 +165,41 @@ class TestConfigFile:
         assert out.exists()
 
     def test_unknown_keys_rejected(self, tmp_path):
+        # n_list is a sweep flag, and tri only abbreviates --trials
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"preset": "improved", "n": 10, "typo_key": 1}))
-        code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-        assert code == EXIT_USAGE
+        for key in ("typo_key", "n_list", "tri", "config"):
+            cfg.write_text(json.dumps({"preset": "improved", "n": 10, key: 1}))
+            code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+            assert code == EXIT_USAGE
 
-    def test_preset_and_elements_exclusive_in_config(self, tmp_path):
+    @pytest.mark.parametrize("command,data", [
+        ("batch", {"n": "20"}),
+        ("batch", {"n": 10, "trials": "2"}),
+        ("sweep", {"n_list": "8,10,12"}),
+    ])
+    def test_string_for_numeric_key_rejected(self, tmp_path, capsys, command, data):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"preset": "improved", "element_a": "normal",
-                                   "n": 10}))
-        code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        cfg.write_text(json.dumps({"preset": "improved", **data}))
+        code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_USAGE
+        assert "error: config key" in capsys.readouterr().err
+
+    def test_file_value_wins_over_flag(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "improved", "n_list": [8, 10], "trials": 2}))
+        out = tmp_path / "r.csv"
+        code = run_cli(["sweep", "--config", str(cfg), "--trials", "50", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[1], r[2]) for r in rows] == [("8", "2"), ("10", "2")]
+
+    def test_preset_and_elements_exclusive_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        for elements in ({"element_a": "normal"}, {"i_scale": 0.5, "normal_sd": 9}):
+            cfg.write_text(json.dumps({"preset": "improved", "n": 10, **elements}))
+            code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+            assert code == EXIT_USAGE
+            assert "mutually exclusive" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -377,10 +377,10 @@ class TestEquivariance:
 
 class TestInitialState:
     def test_default_level(self):
-        from amoebatsp import DEFAULT_INIT_LEVEL
+        from amoebatsp import initial_level
 
         state = AmoebaState.initial(6)
-        assert (state.x == DEFAULT_INIT_LEVEL).all()
+        assert (state.x == initial_level(6)).all()
         assert state.stock == 0.0 and state.t == 0
 
     def test_size_rule_holds_summed_inner_response(self):

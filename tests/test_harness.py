@@ -116,6 +116,14 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             run_batch(10, 0, preset("improved"), global_seed=0)
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_batch(10, 1, preset("improved"), global_seed=0, workers=-1)
+
+    def test_map_seed_needs_fixed_policy(self):
+        with pytest.raises(ValueError, match="map_seed"):
+            run_batch(10, 1, preset("improved"), global_seed=0, map_seed=77)
+
 
 class TestVariantOrdering:
     def test_iteration_ordering_at_n20(self):

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amoebatsp import (
     InvalidInstanceError,
@@ -13,6 +16,7 @@ from amoebatsp import (
     compute_nu,
     cost_function,
     cost_weight,
+    coupling_field,
     decode_solution,
     estimated_route_length,
     generate_map,
@@ -134,6 +138,22 @@ class TestCostWeight:
             cost_weight(0, 0, inst.n, 0, p, inst)
 
 
+class TestCouplingField:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
+           lam=st.floats(0.1, 2.0), mu=st.floats(0.1, 2.0), data=st.data())
+    def test_matches_cost_weight_sum(self, n, seed, lam, mu, data):
+        # n = 3 and 4 are the sizes where every other step is adjacent
+        inst = generate_map(n, seed)
+        p = ParamSet.for_instance(inst, lam=lam, mu=mu)
+        y = data.draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
+        field = coupling_field(y, p, inst)
+        for v, k in np.ndindex(n, n):
+            expected = sum(cost_weight(v, k, u, l, p, inst) * y[u, l]
+                           for u, l in np.ndindex(n, n))
+            assert field[v, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 class TestCostFunction:
     def test_empty_support_is_zero(self):
         inst = generate_map(5, seed=1)
@@ -181,7 +201,8 @@ class TestDecodeSolution:
         assert sol.tour == tuple(range(6))
 
     def test_below_threshold_everywhere(self):
-        assert decode_solution(np.full((5, 5), 0.98)).tour is None
+        for x in (np.full((5, 5), 0.98), np.zeros((5, 5))):
+            assert decode_solution(x).tour is None
 
     def test_boundary_value_counts(self):
         x = np.zeros((4, 4))
@@ -285,9 +306,11 @@ class TestMapIO:
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 4, "dist": [1, 2, 3]}')
-        with pytest.raises(InvalidInstanceError):
-            load_map(path)
+        for text in ('{"n": 4, "dist": [1, 2, 3]}', '{"n": 3, "dist": 5}',
+                     '{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], "gen": {"seed": 1, "sd": 17}}'):
+            path.write_text(text)
+            with pytest.raises(InvalidInstanceError):
+                load_map(path)
 
 
 class TestInstanceValidation:
@@ -296,6 +319,14 @@ class TestInstanceValidation:
         np.fill_diagonal(dist, 0.0)
         dist[0, 1] = 99.0
         with pytest.raises(InvalidInstanceError):
+            TspInstance(n=4, dist=dist)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_distance_rejected(self, bad):
+        dist = np.full((4, 4), 10.0)
+        np.fill_diagonal(dist, 0.0)
+        dist[0, 1] = dist[1, 0] = bad
+        with pytest.raises(InvalidInstanceError, match="finite"):
             TspInstance(n=4, dist=dist)
 
     def test_nonpositive_offdiagonal_rejected(self):

@@ -7,7 +7,6 @@ from amoebatsp import (
     ConfigurationError,
     ParamSet,
     brute_force_optimum,
-    check_termination,
     decode_solution,
     estimated_route_length,
     generate_map,
@@ -21,23 +20,6 @@ from amoebatsp import (
 def small():
     inst = generate_map(10, seed=41)
     return inst, ParamSet.for_instance(inst)
-
-
-class TestCheckTermination:
-    def test_zero_state(self):
-        assert check_termination(np.zeros((5, 5))) is None
-
-    def test_permutation_matrix(self):
-        x = np.zeros((5, 5))
-        perm = (3, 1, 4, 0, 2)
-        for k, city in enumerate(perm):
-            x[city, k] = 1.0
-        assert check_termination(x) == perm
-
-    def test_extra_entry_blocks(self):
-        x = np.eye(5)
-        x[2, 0] = 1.0  # column 0 now sums to 2
-        assert check_termination(x) is None
 
 
 class TestRunTrial:
