@@ -2,7 +2,8 @@
 scaling fits, and reference-table reproduction.
 
 Exit codes are stable for scripting: 0 success, 1 usage or configuration
-error, 2 no solution within the iteration budget.
+error, 2 no solution within the iteration budget, 3 a `reproduce` run
+whose overall verdict is FAIL.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .solver import DEFAULT_MAX_ITERS, run_trial
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2
+EXIT_VERDICT_FAIL = 3
 
 # Element flags and how each turns into a VariantConfig field; a flag left
 # out keeps VariantConfig's default.
@@ -79,32 +81,31 @@ def _n_list(text):
         raise argparse.ArgumentTypeError(f"bad n-list: {text!r}") from None
 
 
-def _with_config(parser, argv, path):
-    """Parse argv again with a JSON run-config's entries appended as flags.
+def _with_config(parser, argv, args):
+    """Parse argv again with the JSON run-config's entries appended as flags.
 
-    Each entry goes through the command's own flag, so it is checked like
-    one and wins over the same flag given earlier on the command line. A
-    list of strings repeats its flag; any other list becomes one
-    comma-separated value. A value must be a JSON string exactly when its
-    flag takes text.
+    Each key must name a flag of the command; its entry goes through that
+    flag, so it is checked like one and wins over the same flag given
+    earlier on the command line. A list of strings repeats its flag; any
+    other list becomes one comma-separated value. A value must be a JSON
+    string exactly when its flag takes text.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         parser.error("config must be a JSON object")
-    tokens = {}
+    bad = [key for key in data if key in ("command", "config") or key not in vars(args)]
+    if bad:
+        parser.error(f"config keys with no flag on {args.command}: {bad}")
+    tokens = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")
         if not isinstance(value, list):
-            tokens[key] = [f"{flag}={value}"]
+            tokens.append(f"{flag}={value}")
         elif all(isinstance(v, str) for v in value):
-            tokens[key] = [f"{flag}={v}" for v in value]
+            tokens.extend(f"{flag}={v}" for v in value)
         else:
-            tokens[key] = [f"{flag}={','.join(map(str, value))}"]
-    args, unknown = parser.parse_known_args(argv + [t for ts in tokens.values() for t in ts])
-    bad = [key for key, ts in tokens.items()
-           if key == "config" or not hasattr(args, key) or set(ts) & set(unknown)]
-    if bad:
-        parser.error(f"config keys with no flag on {args.command}: {bad}")
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+    args = parser.parse_args(argv + tokens)
     for key, value in data.items():
         if isinstance(value, str) != isinstance(getattr(args, key), str):
             parser.error(f"config key {key!r}: expected {type(getattr(args, key)).__name__}, "
@@ -208,52 +209,40 @@ def _fmt(value, digits=1):
     return "-" if value is None else f"{value:.{digits}f}"
 
 
+def _near(value, ref, tol) -> bool:
+    """True when there is no reference, or the value is within tol of it."""
+    return ref is None or (value is not None and abs(value - ref) <= tol)
+
+
 def cmd_reproduce(args, parser) -> int:
-    """Re-run a reference table's variants and compare side by side."""
-    rows = []
-    all_ok = True
+    """Re-run a reference table's rows and compare side by side."""
     if args.table == "5":
         n_list = args.n_list or [10, 20, 50, 100]
         for n in n_list:
             if n not in REFERENCE_IMPROVED_SWEEP:
                 parser.error(f"no reference row for n={n}")
-        stats = run_sweep(n_list, args.trials, preset("improved"),
-                          global_seed=args.global_seed, workers=args.workers,
-                          init_level=args.init_level)
-        for s in stats:
-            ref_sr, ref_it, ref_ratio = REFERENCE_IMPROVED_SWEEP[s.n]
-            rows.append((f"improved n={s.n}", s, ref_sr, ref_it, ref_ratio))
+        plan = [(f"improved n={n}", "improved", n, REFERENCE_IMPROVED_SWEEP[n]) for n in n_list]
     else:
-        for name in REFERENCE_TABLES[args.table]:
-            trials = args.trials
-            s = run_batch(20, trials, preset(name), global_seed=args.global_seed,
-                          workers=args.workers, init_level=args.init_level,
-                          variant_name=name)
-            ref_sr, ref_it, ref_ratio = REFERENCE_N20[name]
-            rows.append((name, s, ref_sr, ref_it, ref_ratio))
+        plan = [(name, name, 20, REFERENCE_N20[name]) for name in REFERENCE_TABLES[args.table]]
+    rows = []
+    all_ok = True
+    for label, name, n, (ref_sr, ref_it, ref_ratio) in plan:
+        s = run_batch(n, args.trials, preset(name), global_seed=args.global_seed,
+                      workers=args.workers, init_level=args.init_level, variant_name=name)
+        # a row with no reference iterations (nothing solved) must match its rate exactly
+        ok = (_near(s.avg_iterations, ref_it, args.iters_tol * (ref_it or 0))
+              and _near(s.avg_ratio, ref_ratio, args.ratio_tol)
+              and _near(s.success_rate, ref_sr, 0.0 if ref_it is None else args.success_tol))
+        all_ok &= ok
+        rows.append(f"{label:>14} | {s.success_rate:>6.3f} vs {ref_sr:>5.3f} | "
+                    f"{_fmt(s.avg_iterations):>8} vs {_fmt(ref_it):>7} | "
+                    f"{_fmt(s.avg_ratio, 3):>6} vs {_fmt(ref_ratio, 3):>5} | "
+                    f"{'PASS' if ok else 'FAIL'}")
     header = (f"{'variant':>14} | {'success':>15} | {'iterations':>19} | "
               f"{'ratio':>17} | verdict")
-    print(header)
-    print("-" * len(header))
-    for name, s, ref_sr, ref_it, ref_ratio in rows:
-        ok = True
-        if ref_it is not None and s.avg_iterations is not None:
-            ok &= abs(s.avg_iterations - ref_it) <= args.iters_tol * ref_it
-        elif ref_it is not None:
-            ok = False
-        if ref_ratio is not None and s.avg_ratio is not None:
-            ok &= abs(s.avg_ratio - ref_ratio) <= args.ratio_tol
-        elif ref_ratio is not None:
-            ok = False
-        ok &= abs(s.success_rate - ref_sr) <= args.success_tol if ref_it is not None \
-            else s.success_rate == ref_sr
-        all_ok &= ok
-        print(f"{name:>14} | {s.success_rate:>6.3f} vs {ref_sr:>5.3f} | "
-              f"{_fmt(s.avg_iterations):>8} vs {_fmt(ref_it):>7} | "
-              f"{_fmt(s.avg_ratio, 3):>6} vs {_fmt(ref_ratio, 3):>5} | "
-              f"{'PASS' if ok else 'FAIL'}")
-    print(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    return EXIT_OK
+    rows.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
+    print("\n".join([header, "-" * len(header), *rows]))
+    return EXIT_OK if all_ok else EXIT_VERDICT_FAIL
 
 
 def build_parser() -> _Parser:
@@ -323,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args = _with_config(parser, argv, args.config)
+            args = _with_config(parser, argv, args)
         if args.command == "gen-map":
             return cmd_gen_map(args)
         if args.command == "solve":

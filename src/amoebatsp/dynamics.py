@@ -101,7 +101,6 @@ class StepDiagnostics:
     """Per-step observables, convertible to one trace CSV row."""
 
     t: int
-    l_values: np.ndarray
     l_off: int
     total_o: float
     total_xi: float
@@ -246,7 +245,6 @@ def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
     x_next = np.where(illum, state.x - o_values, state.x + applied_i) + xi
     diag = StepDiagnostics(
         t=state.t + 1,
-        l_values=l_values,
         l_off=l_off,
         total_o=float(o_values.sum()),
         total_xi=float(xi.sum()),

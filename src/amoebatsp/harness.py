@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -113,33 +114,31 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
-def _run_indexed_trial(args):
-    (index, n, cfg, global_seed, max_iters, map_policy, map_seed,
-     param_overrides, init_level, keep_trials) = args
-    if map_policy == "fresh":
-        inst = generate_map(n, _derive_seed(global_seed, index, _MAP_STREAM))
-    else:
-        inst = generate_map(n, map_seed)
-    params = ParamSet.for_instance(inst, **param_overrides)
-    result = run_trial(inst, params, cfg, seed=_derive_seed(global_seed, index, _TRIAL_STREAM),
+def _trial(index, n, cfg, global_seed, map_seed, max_iters, init_level, keep_trials):
+    """Trial `index` of a batch; map_seed None draws the trial's own map."""
+    if map_seed is None:
+        map_seed = _derive_seed(global_seed, index, _MAP_STREAM)
+    inst = generate_map(n, map_seed)
+    result = run_trial(inst, ParamSet.for_instance(inst), cfg,
+                       seed=_derive_seed(global_seed, index, _TRIAL_STREAM),
                        max_iters=max_iters, init_level=init_level)
     if not keep_trials:
         result.final_x = None
-        result.trace = None
-    return index, result
+    return result
 
 
 def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
               max_iters: int = DEFAULT_MAX_ITERS, map_policy: str = "fresh",
-              map_seed: int | None = None, param_overrides: dict | None = None,
-              init_level: float | None = None, workers: int = 1,
-              variant_name: str = "custom", keep_trials: bool = False) -> AggregateStats:
+              map_seed: int | None = None, init_level: float | None = None,
+              workers: int = 1, variant_name: str = "custom",
+              keep_trials: bool = False) -> AggregateStats:
     """Run seeded trials of one configuration and aggregate the criteria.
 
     map_policy "fresh" draws a new map per trial (nu recalibrated each
     time) and refuses a map_seed; "fixed" reuses one map seeded by
     map_seed (derived from global_seed when omitted). init_level None
-    starts every trial at initial_level(n).
+    starts every trial at initial_level(n). keep_trials attaches the
+    trial results, final states included, as per_trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -151,20 +150,20 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
         raise ValueError("map_seed needs map_policy 'fixed'")
     if map_policy == "fixed" and map_seed is None:
         map_seed = _derive_seed(global_seed, _MAP_STREAM)
-    jobs = [(i, n, cfg, global_seed, max_iters, map_policy, map_seed,
-             param_overrides or {}, init_level, keep_trials) for i in range(trials)]
+    job = partial(_trial, n=n, cfg=cfg, global_seed=global_seed, map_seed=map_seed,
+                  max_iters=max_iters, init_level=init_level, keep_trials=keep_trials)
     if workers > 1:
         with Pool(workers) as pool:
-            indexed = pool.map(_run_indexed_trial, jobs)
+            results = pool.map(job, range(trials))
     else:
-        indexed = [_run_indexed_trial(job) for job in jobs]
-    indexed.sort(key=lambda pair: pair[0])
-    results = [r for _, r in indexed]
-    return aggregate(results, variant_name, n, keep_trials=keep_trials)
+        results = [job(i) for i in range(trials)]
+    stats = aggregate(results, variant_name, n)
+    if keep_trials:
+        stats.per_trial = results
+    return stats
 
 
-def aggregate(results: list[TrialResult], variant_name: str, n: int,
-              keep_trials: bool = False) -> AggregateStats:
+def aggregate(results: list[TrialResult], variant_name: str, n: int) -> AggregateStats:
     """Fold trial results in order; empty success sets yield absent averages."""
     wins = [r for r in results if r.success]
     iters = np.array([r.iterations for r in wins], dtype=float)
@@ -185,7 +184,6 @@ def aggregate(results: list[TrialResult], variant_name: str, n: int,
         std_iterations=_std(iters),
         avg_ratio=_mean(ratios),
         std_ratio=_std(ratios),
-        per_trial=results if keep_trials else None,
     )
 
 

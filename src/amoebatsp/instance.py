@@ -9,6 +9,7 @@ penalties always dominate any two-edge path cost.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -89,11 +90,10 @@ class ParamSet:
 
     @classmethod
     def for_instance(cls, inst: TspInstance, **overrides) -> "ParamSet":
-        """Build parameters with nu calibrated for the given map."""
-        base = cls(nu=1.0, **{k: v for k, v in overrides.items() if k != "nu"})
-        nu = overrides.get("nu", compute_nu(inst, base.lam, base.mu))
-        return cls(lam=base.lam, mu=base.mu, nu=nu, delta=base.delta,
-                   delta_out=base.delta_out, delta_in=base.delta_in)
+        """Build parameters with nu calibrated for the given map; every
+        other field may be overridden, nu may not."""
+        base = cls(nu=0.0, **overrides)
+        return dataclasses.replace(base, nu=compute_nu(inst, base.lam, base.mu))
 
     def is_calibrated(self, inst: TspInstance) -> bool:
         """True iff nu * (largest two-edge path) <= min(lam, mu)."""
@@ -139,15 +139,11 @@ def generate_map(n: int, seed: int, mean: float = 100.0, sd: float = 17.0) -> Ts
 def max_two_edge_path(inst: TspInstance) -> float:
     """Largest d(a,b) + d(b,c) over ordered triples of distinct cities.
 
-    Equivalent to taking, per middle city, the two largest distances to
-    distinct partners.
+    Equivalent to taking, per middle city b, the two largest entries of its
+    row: with n >= 3 and positive off-diagonal distances, the zero diagonal
+    never ranks among them.
     """
-    best = 0.0
-    for mid in range(inst.n):
-        row = np.delete(inst.dist[mid], mid)
-        top2 = np.partition(row, -2)[-2:]
-        best = max(best, float(top2.sum()))
-    return best
+    return float(np.partition(inst.dist, -2, axis=1)[:, -2:].sum(axis=1).max())
 
 
 def round_down_sigfigs(x: float, figs: int = 3) -> float:
@@ -293,6 +289,8 @@ def load_map(path) -> TspInstance:
         raise InvalidInstanceError(f"malformed map file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed map file: {exc}") from exc
+    if n < 3:
+        raise InvalidInstanceError(f"need at least 3 cities, got n={n}")
     if flat.shape != (n * n,):
         raise InvalidInstanceError(f"dist must be a flat list of {n * n} entries")
     return TspInstance(n=n, dist=flat.reshape(n, n), gen_meta=meta)

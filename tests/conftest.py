@@ -1,4 +1,13 @@
-"""Shared reporting: collect acceptance-criterion lines and print them."""
+"""Shared reporting: collect acceptance-criterion lines and print them.
+
+Hypothesis draws the same examples on every run and keeps no example
+database, so a property test passes or fails the same way each time.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_LINES = []
 

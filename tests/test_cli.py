@@ -5,7 +5,7 @@ import json
 import pytest
 
 from amoebatsp import load_map
-from amoebatsp.cli import EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
+from amoebatsp.cli import EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL, main
 
 
 def run_cli(argv):
@@ -164,13 +164,19 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert out.exists()
 
-    def test_unknown_keys_rejected(self, tmp_path):
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
         # n_list is a sweep flag, and tri only abbreviates --trials
         cfg = tmp_path / "run.json"
         for key in ("typo_key", "n_list", "tri", "config"):
             cfg.write_text(json.dumps({"preset": "improved", "n": 10, key: 1}))
             code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
             assert code == EXIT_USAGE
+        # n is a batch flag; as --n it would also abbreviate two sweep flags
+        cfg.write_text(json.dumps({"n_list": [8, 10], "n": 3}))
+        capsys.readouterr()
+        code = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_USAGE
+        assert "config keys with no flag on sweep: ['n']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,data", [
         ("batch", {"n": "20"}),
@@ -206,12 +212,13 @@ class TestReproduce:
     def test_table_two_smoke(self, capsys):
         code = run_cli(["reproduce", "--table", "2", "--trials", "1",
                         "--global-seed", "0"])
-        assert code == EXIT_OK
         out = capsys.readouterr().out
         for name in ("a1", "a2", "original"):
             assert name in out
         assert "verdict" in out
-        assert "overall:" in out
+        overall = out.splitlines()[-1]
+        assert overall in ("overall: PASS", "overall: FAIL")
+        assert code == (EXIT_OK if overall == "overall: PASS" else EXIT_VERDICT_FAIL)
 
     def test_unknown_table_rejected(self):
         assert run_cli(["reproduce", "--table", "7"]) == EXIT_USAGE

@@ -332,12 +332,12 @@ class TestStep:
 
     def test_counter_and_diagnostics(self, setup):
         inst, p = setup
-        state = AmoebaState.initial(10)
+        before = AmoebaState.initial(10)
         rng = np.random.default_rng(4)
-        state, diag = step(state, inst, p, ORIGINAL, rng)
+        state, diag = step(before, inst, p, ORIGINAL, rng)
         assert state.t == 1 and diag.t == 1
         assert diag.sum_x == pytest.approx(state.x.sum())
-        assert diag.l_off == int((diag.l_values <= 0.5).sum())
+        assert diag.l_off == int((compute_L(before.x, p, inst, ORIGINAL) <= 0.5).sum())
 
 
 class TestEquivariance:

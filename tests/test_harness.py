@@ -79,8 +79,11 @@ class TestRunBatch:
         assert a == b
 
     def test_worker_count_independence(self):
-        a = run_batch(10, 8, preset("improved"), global_seed=3, workers=1)
-        b = run_batch(10, 8, preset("improved"), global_seed=3, workers=2)
+        # trial order rests on Pool.map returning results in input order
+        a = run_batch(10, 8, preset("improved"), global_seed=3, workers=1, keep_trials=True)
+        b = run_batch(10, 8, preset("improved"), global_seed=3, workers=2, keep_trials=True)
+        assert ([(r.iterations, r.tour) for r in a.per_trial]
+                == [(r.iterations, r.tour) for r in b.per_trial])
         assert a.success_rate == b.success_rate
         assert a.avg_iterations == b.avg_iterations
         assert a.std_iterations == b.std_iterations

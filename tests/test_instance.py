@@ -1,6 +1,8 @@
 """Instance generation, cost tensor, calibration, and route utilities."""
 
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from amoebatsp import (
+    GenMeta,
     InvalidInstanceError,
     ParamSet,
     TspInstance,
@@ -76,13 +79,14 @@ class TestComputeNu:
         assert compute_nu(uniform_instance(3)) == pytest.approx(0.0025)
 
     def test_matches_triple_enumeration(self):
-        inst = generate_map(8, seed=5)
-        worst = max(
-            inst.dist[v1, v2] + inst.dist[v2, v3]
-            for v1, v2, v3 in itertools.permutations(range(8), 3)
-        )
-        assert max_two_edge_path(inst) == pytest.approx(worst, rel=1e-12)
-        assert compute_nu(inst) == pytest.approx(round_down_sigfigs(0.5 / worst, 3))
+        maps = [generate_map(n, seed=5) for n in range(3, 9)] + [generate_map(6, seed=0, sd=0.0)]
+        for inst in maps:
+            worst = max(
+                inst.dist[v1, v2] + inst.dist[v2, v3]
+                for v1, v2, v3 in itertools.permutations(range(inst.n), 3)
+            )
+            assert max_two_edge_path(inst) == worst
+            assert compute_nu(inst) == round_down_sigfigs(0.5 / worst, 3)
 
     def test_default_map_magnitude(self):
         nu = compute_nu(generate_map(20, seed=1))
@@ -223,6 +227,31 @@ class TestDecodeSolution:
         x[0, 3] = 1.0
         assert decode_solution(x).tour is None
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 7), data=st.data())
+    def test_tour_iff_permutation_matrix(self, n, data):
+        # a permutation or any step-to-city map, maybe transposed, with a few
+        # lanes toggled: states that fail only the row or only the column
+        # check are drawn as well as tours
+        cities = (st.permutations(range(n))
+                  | st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        occupied = np.zeros((n, n), dtype=bool)
+        occupied[data.draw(cities), range(n)] = True
+        if data.draw(st.booleans()):
+            occupied = occupied.T.copy()
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for v, k in data.draw(st.lists(cells, max_size=2)):
+            occupied[v, k] ^= True
+        high = data.draw(arrays(float, (n, n), elements=st.floats(0.99, 2.0)))
+        low = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 0.99, exclude_max=True)))
+        sol = decode_solution(np.where(occupied, high, low))
+        assert np.array_equal(sol.x_bin, occupied)
+        rows, cols = np.nonzero(occupied)
+        is_permutation = len(set(rows)) == len(set(cols)) == len(rows) == n
+        assert (sol.tour is not None) == is_permutation
+        if is_permutation:
+            assert all(occupied[city, k] for k, city in enumerate(sol.tour))
+
 
 class TestRouteLength:
     def test_uniform_three_city(self):
@@ -306,11 +335,33 @@ class TestMapIO:
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        for text in ('{"n": 4, "dist": [1, 2, 3]}', '{"n": 3, "dist": 5}',
-                     '{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], "gen": {"seed": 1, "sd": 17}}'):
+        # n = -3 squares to the length of dist, so only the city count can reject it
+        for text, message in (
+                ('{"n": 4, "dist": [1, 2, 3]}', "flat list"),
+                ('{"n": 3, "dist": 5}', "flat list"),
+                ('{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], "gen": {"seed": 1, "sd": 17}}',
+                 "missing key 'mean'"),
+                ('{"n": -3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "need at least 3 cities")):
             path.write_text(text)
-            with pytest.raises(InvalidInstanceError):
+            with pytest.raises(InvalidInstanceError, match=message):
                 load_map(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 9), data=st.data(),
+           meta=st.none() | st.builds(GenMeta, seed=st.integers(0, 2**63 - 1),
+                                      mean=st.floats(-1e3, 1e3), sd=st.floats(0.0, 1e3)))
+    def test_save_load_roundtrip_property(self, n, data, meta):
+        upper = data.draw(arrays(float, n * (n - 1) // 2, elements=st.floats(1e-6, 1e9)))
+        dist = np.zeros((n, n))
+        dist[np.triu_indices(n, 1)] = upper
+        inst = TspInstance(n=n, dist=dist + dist.T, gen_meta=meta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            save_map(inst, path)
+            loaded = load_map(path)
+        assert loaded.n == n
+        assert np.array_equal(loaded.dist, inst.dist)
+        assert loaded.gen_meta == meta
 
 
 class TestInstanceValidation:
