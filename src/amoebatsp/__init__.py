@@ -26,7 +26,6 @@ from .harness import (
     fit_scaling,
     preset,
     run_batch,
-    run_sweep,
 )
 from .instance import (
     ConfigurationError,
@@ -60,5 +59,5 @@ __all__ = [
     "compute_O", "compute_nu", "conservation_residual", "cost_function",
     "cost_weight", "coupling_field", "decode_solution", "estimated_route_length", "fit_scaling",
     "generate_map", "initial_level", "load_map", "preset", "route_length", "run_batch",
-    "run_sweep", "run_trial", "sample_fluctuations", "save_map", "sigmoid", "step",
+    "run_trial", "sample_fluctuations", "save_map", "sigmoid", "step",
 ]

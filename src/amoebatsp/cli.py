@@ -24,7 +24,6 @@ from .harness import (
     preset,
     read_results_csv,
     run_batch,
-    run_sweep,
     write_fit_json,
     write_plot_data,
     write_results_csv,
@@ -93,7 +92,7 @@ def _with_config(parser, argv, args):
     data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         parser.error("config must be a JSON object")
-    bad = [key for key in data if key in ("command", "config") or key not in vars(args)]
+    bad = [key for key in data if key in ("command", "config", "run") or key not in vars(args)]
     if bad:
         parser.error(f"config keys with no flag on {args.command}: {bad}")
     tokens = []
@@ -124,7 +123,7 @@ def _add_init_level_flag(parser):
                              "0.435 at n=20)")
 
 
-def cmd_gen_map(args) -> int:
+def cmd_gen_map(args, parser) -> int:
     inst = generate_map(args.n, args.seed, mean=args.mean, sd=args.sd)
     save_map(inst, args.out)
     print(f"wrote {args.out}: n={inst.n}, {inst.n * inst.n} matrix entries")
@@ -176,16 +175,18 @@ def cmd_batch(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     if not args.n_list:
         parser.error("--n-list must name at least one city count")
+    if (args.plot_iters is None) != (args.plot_ratio is None):
+        parser.error("--plot-iters and --plot-ratio must be given together")
     name, cfg = _variant(parser, args)
-    stats = run_sweep(args.n_list, args.trials, cfg, global_seed=args.global_seed,
-                      max_iters=args.max_iters, map_policy=args.map_policy,
-                      map_seed=args.map_seed, init_level=args.init_level,
-                      workers=args.workers, variant_name=name)
+    stats = [run_batch(n, args.trials, cfg, global_seed=args.global_seed,
+                       max_iters=args.max_iters, map_policy=args.map_policy,
+                       map_seed=args.map_seed, init_level=args.init_level,
+                       workers=args.workers, variant_name=name) for n in args.n_list]
     write_results_csv(stats, args.out)
     for s in stats:
         print(f"n={s.n}: success_rate={s.success_rate:.3f} "
               f"avg_iterations={_fmt(s.avg_iterations)} avg_ratio={_fmt(s.avg_ratio, 4)}")
-    if args.plot_iters and args.plot_ratio:
+    if args.plot_iters is not None:
         write_plot_data(stats, args.plot_iters, args.plot_ratio)
         print(f"plot data written to {args.plot_iters}, {args.plot_ratio}")
     print(f"results written to {args.out}")
@@ -256,6 +257,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mean", type=float, default=100.0)
     p.add_argument("--sd", type=float, default=17.0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_gen_map)
 
     p = sub.add_parser("solve", help="run one search on a map file")
     p.add_argument("--map", required=True)
@@ -263,10 +265,12 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     _add_run_flags(p)
     p.add_argument("--trace", default=None, help="write per-step trace CSV here")
+    p.set_defaults(run=cmd_solve)
 
-    for name, helptext in (("batch", "seeded trial batch for one configuration"),
-                           ("sweep", "batches across city counts")):
+    for name, helptext, run in (("batch", "seeded trial batch for one configuration", cmd_batch),
+                                ("sweep", "batches across city counts", cmd_sweep)):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="JSON run-config file")
         if name == "batch":
             p.add_argument("--n", type=int, default=None)
@@ -288,6 +292,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit-scaling", help="log-log fit on a sweep results CSV")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_fit_scaling)
 
     p = sub.add_parser("reproduce", help="re-run a reference table and compare")
     p.add_argument("--table", choices=["2", "3", "4", "5"], required=True)
@@ -303,6 +308,7 @@ def build_parser() -> _Parser:
                    help="absolute tolerance on mean ratio")
     p.add_argument("--success-tol", dest="success_tol", type=float, default=0.05,
                    help="absolute tolerance on success rate")
+    p.set_defaults(run=cmd_reproduce)
     return parser
 
 
@@ -313,22 +319,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None):
             args = _with_config(parser, argv, args)
-        if args.command == "gen-map":
-            return cmd_gen_map(args)
-        if args.command == "solve":
-            return cmd_solve(args, parser)
-        if args.command == "batch":
-            return cmd_batch(args, parser)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "fit-scaling":
-            return cmd_fit_scaling(args, parser)
-        if args.command == "reproduce":
-            return cmd_reproduce(args, parser)
+        return args.run(args, parser)
     except (InvalidInstanceError, ConfigurationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -59,21 +59,33 @@ class ElementC(enum.Enum):
     L_INNER_STEP = "l_inner_step"
 
 
+# Fluctuation spread of NORMAL when a config sets none.
+DEFAULT_NORMAL_SD = 0.003
+
+
 @dataclass(frozen=True)
 class VariantConfig:
-    """Orthogonal switches selecting original or modified behavior."""
+    """Orthogonal switches selecting original or modified behavior.
+
+    i_scale acts only under SCALE_I and normal_sd only under NORMAL, so
+    either one away from its default needs its element.
+    """
 
     element_a: ElementA = ElementA.UNIFORM
     element_b: ElementB = ElementB.ORIGINAL
     i_scale: float = 1.0
     element_c: frozenset = field(default_factory=frozenset)
-    normal_sd: float = 0.003
+    normal_sd: float = DEFAULT_NORMAL_SD
 
     def __post_init__(self):
         if self.i_scale <= 0:
             raise ValueError("i_scale must be positive")
         if self.normal_sd <= 0:
             raise ValueError("normal_sd must be positive")
+        if self.i_scale != 1.0 and self.element_b is not ElementB.SCALE_I:
+            raise ValueError("i_scale needs element_b scale_i")
+        if self.normal_sd != DEFAULT_NORMAL_SD and self.element_a is not ElementA.NORMAL:
+            raise ValueError("normal_sd needs element_a normal")
         object.__setattr__(self, "element_c", frozenset(self.element_c))
         for flag in self.element_c:
             if not isinstance(flag, ElementC):
@@ -138,15 +150,12 @@ def initial_level(n: int) -> float:
     return DEFAULT_INIT_LEVEL - 2.0 * math.log(n / INIT_LEVEL_N) / INNER_SIGMOID.gamma
 
 
-def _logistic(z):
-    """Numerically stable 1 / (1 + exp(-z))."""
+def sigmoid(p: SigmoidParams, x):
+    """Logistic response 1 / (1 + exp(-z)) to z = p.gamma * (x - p.theta),
+    computed from exp(-|z|) so that it never overflows."""
+    z = p.gamma * (np.asarray(x, dtype=float) - p.theta)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
-def sigmoid(p: SigmoidParams, x):
-    """Logistic response with gain p.gamma around threshold p.theta."""
-    return _logistic(p.gamma * (np.asarray(x, dtype=float) - p.theta))
 
 
 def _unit_step(x):
@@ -182,35 +191,34 @@ def illuminated_mask(l_values: np.ndarray) -> np.ndarray:
     return l_values > 0.5
 
 
-def compute_O(x: np.ndarray, l_values: np.ndarray, cfg: VariantConfig,
+def compute_O(x: np.ndarray, illum: np.ndarray, cfg: VariantConfig,
               delta_out: float) -> np.ndarray:
-    """Per-lane contraction: active only on illuminated lanes.
+    """Per-lane contraction: active only on the lanes the boolean mask
+    illum marks as illuminated.
 
     Original form scales 2*delta_out by the contraction sigmoid of the
     current length; O_CONST replaces that factor with 1.
     """
-    if ElementC.O_CONST in cfg.element_c:
-        gate = 1.0
-    else:
-        gate = sigmoid(CONTRACTION_SIGMOID, x)
-    return np.where(illuminated_mask(l_values), 2.0 * delta_out * gate, 0.0)
+    gate = 1.0 if ElementC.O_CONST in cfg.element_c else sigmoid(CONTRACTION_SIGMOID, x)
+    return np.where(illum, 2.0 * delta_out * gate, 0.0)
 
 
-def compute_I_and_S(o_values: np.ndarray, s_prev: float, l_off: int, n: int,
+def compute_I_and_S(total_o: float, s_prev: float, l_off: int, n: int,
                     cfg: VariantConfig, delta_in: float) -> tuple[float, float]:
-    """Equal per-lane elongation and next stock.
+    """Elongation of each dark lane and the next stock (element B).
 
-    While any lane is off, the hub leak plus all contracted mass plus the
-    previous stock is shared equally (denominator L_off, or n under
-    DENOM_N) and the stock empties. With every lane lit, the same inflow
-    is stocked instead. ZERO_DELTA_IN removes the hub leak from both.
+    The inflow is the hub leak plus the total contraction total_o plus the
+    previous stock; ZERO_DELTA_IN drops the hub leak. While any lane is
+    off, the inflow is shared equally (denominator L_off, or n under
+    DENOM_N), each share scaled by i_scale under SCALE_I, and the stock
+    empties. With every lane lit, the whole unscaled inflow is stocked.
     """
     delta_in_eff = 0.0 if cfg.element_b is ElementB.ZERO_DELTA_IN else delta_in
-    inflow = delta_in_eff + float(o_values.sum()) + s_prev
-    if l_off > 0:
-        denom = n if cfg.element_b is ElementB.DENOM_N else l_off
-        return inflow / denom, 0.0
-    return 0.0, inflow
+    inflow = delta_in_eff + total_o + s_prev
+    if l_off == 0:
+        return 0.0, inflow
+    share = inflow / (n if cfg.element_b is ElementB.DENOM_N else l_off)
+    return (cfg.i_scale * share if cfg.element_b is ElementB.SCALE_I else share), 0.0
 
 
 def sample_fluctuations(cfg: VariantConfig, n: int, rng: np.random.Generator,
@@ -227,29 +235,28 @@ def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
          cfg: VariantConfig, rng: np.random.Generator) -> tuple[AmoebaState, StepDiagnostics]:
     """Advance the state one synchronous iteration.
 
-    Everything is computed from the pre-step state: illumination, then
-    contraction, then the shared elongation (consuming the previous
-    stock), then fluctuations; illuminated lanes lose their contraction
-    while the rest gain the elongation, optionally rescaled by i_scale
-    under SCALE_I. Branch lengths are not clipped.
+    Everything is computed from the pre-step state: the illumination mask,
+    then contraction, then the elongation of each dark lane and the next
+    stock from compute_I_and_S (consuming the previous stock), then
+    fluctuations; illuminated lanes lose their contraction while the rest
+    gain the elongation. Branch lengths are not clipped.
     """
     n = inst.n
-    l_values = compute_L(state.x, params, inst, cfg)
-    illum = illuminated_mask(l_values)
+    illum = illuminated_mask(compute_L(state.x, params, inst, cfg))
     l_off = int(n * n - illum.sum())
-    o_values = compute_O(state.x, l_values, cfg, params.delta_out)
-    i_value, s_next = compute_I_and_S(o_values, state.stock, l_off, n, cfg,
-                                      params.delta_in)
-    applied_i = cfg.i_scale * i_value if cfg.element_b is ElementB.SCALE_I else i_value
+    o_values = compute_O(state.x, illum, cfg, params.delta_out)
+    total_o = float(o_values.sum())
+    i_value, s_next = compute_I_and_S(total_o, state.stock, l_off, n, cfg, params.delta_in)
     xi = sample_fluctuations(cfg, n, rng, params.delta)
-    x_next = np.where(illum, state.x - o_values, state.x + applied_i) + xi
+    x_next = np.where(illum, state.x - o_values, state.x + i_value) + xi
+    sum_x = float(x_next.sum())
     diag = StepDiagnostics(
         t=state.t + 1,
         l_off=l_off,
-        total_o=float(o_values.sum()),
+        total_o=total_o,
         total_xi=float(xi.sum()),
-        delta_sum_x=float(x_next.sum() - state.x.sum()),
-        sum_x=float(x_next.sum()),
+        delta_sum_x=sum_x - float(state.x.sum()),
+        sum_x=sum_x,
         stock=s_next,
     )
     return AmoebaState(x=x_next, stock=s_next, t=state.t + 1), diag

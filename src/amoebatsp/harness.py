@@ -187,14 +187,6 @@ def aggregate(results: list[TrialResult], variant_name: str, n: int) -> Aggregat
     )
 
 
-def run_sweep(n_list: list[int], trials: int, cfg: VariantConfig, global_seed: int,
-              **kwargs) -> list[AggregateStats]:
-    """run_batch per city count, in the given order."""
-    if not n_list:
-        raise ValueError("n_list must not be empty")
-    return [run_batch(n, trials, cfg, global_seed, **kwargs) for n in n_list]
-
-
 def fit_scaling(stats: list[AggregateStats]) -> ScalingFit:
     """Least squares on (ln n, ln mean iterations); needs 3+ solved sizes."""
     points = [(s.n, s.avg_iterations) for s in stats

@@ -128,6 +128,27 @@ class TestBatchSweepFit:
         assert pa.read_text().splitlines()[0] == "n,avg_iterations,sqrt_n_fit"
         assert pb.read_text().splitlines()[0] == "n,avg_ratio,reference_0.9"
 
+    @pytest.mark.parametrize("flag", ["--plot-iters", "--plot-ratio"])
+    def test_plot_flags_go_together(self, tmp_path, capsys, flag):
+        plot = tmp_path / "plot.csv"
+        code = run_cli(["sweep", "--n-list", "8", "--preset", "improved", "--trials", "1",
+                        "--out", str(tmp_path / "sweep.csv"), flag, str(plot)])
+        assert code == EXIT_USAGE
+        assert "error: --plot-iters and --plot-ratio" in capsys.readouterr().err
+        assert not plot.exists()
+
+    @pytest.mark.parametrize("knob,message", [
+        (["--i-scale", "0.5"], "error: i_scale needs element_b scale_i"),
+        (["--normal-sd", "0.5"], "error: normal_sd needs element_a normal"),
+    ])
+    def test_knob_without_its_element_rejected(self, tmp_path, capsys, knob, message):
+        out = tmp_path / "r.csv"
+        code = run_cli(["batch", "--n", "10", "--trials", "6", "--global-seed", "3",
+                        "--out", str(out), *knob])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_n_list_usage_error(self, tmp_path):
         code = run_cli(["sweep", "--n-list", "", "--preset", "improved",
                         "--out", str(tmp_path / "x.csv")])
@@ -167,7 +188,7 @@ class TestConfigFile:
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         # n_list is a sweep flag, and tri only abbreviates --trials
         cfg = tmp_path / "run.json"
-        for key in ("typo_key", "n_list", "tri", "config"):
+        for key in ("typo_key", "n_list", "tri", "config", "run"):
             cfg.write_text(json.dumps({"preset": "improved", "n": 10, key: 1}))
             code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
             assert code == EXIT_USAGE

@@ -3,6 +3,8 @@ fluctuations, and the conservation probe."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amoebatsp import (
     AmoebaState,
@@ -18,6 +20,7 @@ from amoebatsp import (
     conservation_residual,
     cost_weight,
     generate_map,
+    preset,
     sample_fluctuations,
     sigmoid,
     step,
@@ -77,6 +80,31 @@ class TestSigmoid:
 
     def test_step_convention_at_zero(self):
         assert _unit_step(np.array(0.0)) == 1.0
+
+
+class TestVariantConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"element_b": ElementB.SCALE_I, "i_scale": 0.0}, "i_scale must be positive"),
+        ({"element_b": ElementB.SCALE_I, "i_scale": -0.9}, "i_scale must be positive"),
+        ({"element_a": ElementA.NORMAL, "normal_sd": 0.0}, "normal_sd must be positive"),
+        ({"element_a": ElementA.NORMAL, "normal_sd": -0.003}, "normal_sd must be positive"),
+        ({"element_c": {"o_const"}}, "unknown element_c flag"),
+        ({"element_c": {ElementC.O_CONST, ElementA.ZERO}}, "unknown element_c flag"),
+        # a knob its element does not read would run the base model unchanged
+        ({"i_scale": 0.5}, "i_scale needs element_b scale_i"),
+        ({"element_b": ElementB.DENOM_N, "i_scale": 1.1}, "i_scale needs element_b scale_i"),
+        ({"normal_sd": 0.5}, "normal_sd needs element_a normal"),
+        ({"element_a": ElementA.ZERO, "normal_sd": 0.004}, "normal_sd needs element_a normal"),
+    ])
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            VariantConfig(**kwargs)
+
+    def test_knobs_with_their_elements(self):
+        cfg = VariantConfig(element_a=ElementA.NORMAL, element_b=ElementB.SCALE_I,
+                            i_scale=0.5, normal_sd=0.5)
+        assert (cfg.i_scale, cfg.normal_sd) == (0.5, 0.5)
+        assert VariantConfig(element_c=[ElementC.O_CONST]).element_c == {ElementC.O_CONST}
 
 
 class TestComputeL:
@@ -157,52 +185,57 @@ class TestComputeL:
 class TestComputeO:
     def test_sigmoid_gate_at_threshold(self):
         x = np.full((2, 2), 0.6)
-        lit = np.ones((2, 2))  # all illuminated
+        lit = np.ones((2, 2), dtype=bool)  # all illuminated
         o = compute_O(x, lit, ORIGINAL, delta_out=0.001)
         assert np.allclose(o, 0.001)
 
     def test_constant_contraction_variant(self):
         x = np.full((2, 2), -3.7)
-        lit = np.ones((2, 2))
+        lit = np.ones((2, 2), dtype=bool)
         cfg = VariantConfig(element_c=frozenset({ElementC.O_CONST}))
         assert np.allclose(compute_O(x, lit, cfg, 0.001), 0.002)
 
     def test_dark_lanes_do_not_contract(self):
         x = np.full((3, 3), 5.0)
-        dark = np.zeros((3, 3))
+        dark = np.zeros((3, 3), dtype=bool)
         assert not compute_O(x, dark, ORIGINAL, 0.001).any()
 
 
 class TestComputeIAndS:
     def test_all_dark_field(self):
-        o = np.zeros((20, 20))
-        i_value, s_next = compute_I_and_S(o, 0.0, 400, 20, ORIGINAL, 0.001)
+        i_value, s_next = compute_I_and_S(0.0, 0.0, 400, 20, ORIGINAL, 0.001)
         assert i_value == pytest.approx(0.001 / 400)
         assert s_next == 0.0
 
     def test_denominator_n_variant(self):
-        o = np.zeros((20, 20))
         cfg = VariantConfig(element_b=ElementB.DENOM_N)
-        i_value, _ = compute_I_and_S(o, 0.0, 400, 20, cfg, 0.001)
+        i_value, _ = compute_I_and_S(0.0, 0.0, 400, 20, cfg, 0.001)
         assert i_value == pytest.approx(0.001 / 20)
 
     def test_everything_lit_stocks_inflow(self):
-        o = np.full((2, 2), 0.001)  # sums to 0.004
-        i_value, s_next = compute_I_and_S(o, 0.0, 0, 2, ORIGINAL, 0.001)
+        i_value, s_next = compute_I_and_S(0.004, 0.0, 0, 2, ORIGINAL, 0.001)
         assert i_value == 0.0
         assert s_next == pytest.approx(0.005)
 
     def test_stock_released_whole(self):
-        o = np.zeros((2, 2))
-        i_value, s_next = compute_I_and_S(o, 0.12, 3, 2, ORIGINAL, 0.001)
+        i_value, s_next = compute_I_and_S(0.0, 0.12, 3, 2, ORIGINAL, 0.001)
         assert i_value == pytest.approx(0.121 / 3)
         assert s_next == 0.0
 
     def test_zero_hub_leak_variant(self):
-        o = np.zeros((2, 2))
         cfg = VariantConfig(element_b=ElementB.ZERO_DELTA_IN)
-        i_value, s_next = compute_I_and_S(o, 0.0, 0, 2, cfg, 0.001)
+        i_value, s_next = compute_I_and_S(0.0, 0.0, 0, 2, cfg, 0.001)
         assert s_next == 0.0  # nothing stocked without the leak
+
+    def test_scaled_share_variant(self):
+        # b1 scales each dark lane's share; the stock of an all-lit step is not
+        cfg = preset("b1")
+        i_value, s_next = compute_I_and_S(0.004, 0.0, 3, 2, cfg, 0.001)
+        assert i_value == pytest.approx(0.9 * 0.005 / 3, rel=1e-15)
+        assert s_next == 0.0
+        i_value, s_next = compute_I_and_S(0.004, 0.0, 0, 2, cfg, 0.001)
+        assert i_value == 0.0
+        assert s_next == pytest.approx(0.005, rel=1e-15)
 
 
 class TestFluctuations:
@@ -329,6 +362,30 @@ class TestStep:
 
         a, b = run_100(), run_100()
         assert np.array_equal(a.x, b.x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(3, 12), map_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1), element_a=st.sampled_from(ElementA),
+           element_c=st.frozensets(st.sampled_from(ElementC)), low=st.floats(0.1, 0.4))
+    def test_residual_zero_on_eligible_steps(self, n, map_seed, seed, element_a, element_c,
+                                              low):
+        # under the original elongation rule a step with some lane off and
+        # an empty stock grows total branch mass by exactly leak + noise;
+        # start states straddle the response zone, so most steps mix lit
+        # and dark lanes
+        inst = generate_map(n, map_seed)
+        p = ParamSet.for_instance(inst)
+        cfg = VariantConfig(element_a=element_a, element_c=element_c)
+        rng = np.random.default_rng(seed)
+        state = AmoebaState(x=rng.uniform(low, low + 0.5, (n, n)), stock=0.0, t=0)
+        eligible = 0
+        for _ in range(10):
+            prev_stock = state.stock
+            state, diag = step(state, inst, p, cfg, rng)
+            if diag.l_off > 0 and prev_stock == 0.0:
+                eligible += 1
+                assert abs(conservation_residual(diag, p.delta_in)) <= 1e-12
+        assume(eligible > 0)
 
     def test_counter_and_diagnostics(self, setup):
         inst, p = setup

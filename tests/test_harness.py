@@ -15,7 +15,6 @@ from amoebatsp import (
     generate_map,
     preset,
     run_batch,
-    run_sweep,
     run_trial,
 )
 from amoebatsp.harness import (
@@ -168,21 +167,6 @@ class TestAggregate:
         s = aggregate(results, "x", 5)
         assert s.avg_iterations == 10.0
         assert s.std_iterations is None
-
-
-class TestRunSweep:
-    def test_singleton_equals_batch(self):
-        sweep = run_sweep([10], 4, preset("improved"), global_seed=1)
-        batch = run_batch(10, 4, preset("improved"), global_seed=1)
-        assert sweep == [batch]
-
-    def test_ordered_output(self):
-        sweep = run_sweep([12, 10], 2, preset("improved"), global_seed=1)
-        assert [s.n for s in sweep] == [12, 10]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep([], 4, preset("improved"), global_seed=1)
 
 
 class TestFitScaling:

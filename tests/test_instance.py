@@ -176,6 +176,18 @@ class TestCostFunction:
                 expected = p.nu * route_length(tour, inst)
                 assert cost_function(x, p, inst) == pytest.approx(expected, rel=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           tour=st.integers(3, 8).flatmap(lambda n: st.permutations(range(n))))
+    def test_tour_cost_property(self, seed, tour):
+        n = len(tour)
+        inst = generate_map(n, seed)
+        p = ParamSet.for_instance(inst)
+        x = np.zeros((n, n))
+        x[list(tour), np.arange(n)] = 1.0
+        expected = p.nu * route_length(tour, inst)
+        assert cost_function(x, p, inst) == pytest.approx(expected, rel=1e-12)
+
     def test_double_row_entry_costs_lambda(self):
         inst = generate_map(6, seed=3)
         p = ParamSet.for_instance(inst)
