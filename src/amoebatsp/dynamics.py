@@ -1,7 +1,7 @@
 """One synchronous update of the amoeba branch state.
 
-Each of the n^2 lanes holds a branch length. Per step: an illumination
-value per lane is computed from the coupled cost field of the whole state;
+Each of the n^2 lanes holds a branch length. Per step: whether each lane
+is illuminated is decided from the coupled cost field of the whole state;
 illuminated lanes contract, non-illuminated lanes share an equal elongation
 fed by the hub leak, the contracted mass, and any released stock; every
 lane then receives an independent fluctuation. When every lane is
@@ -78,10 +78,10 @@ class VariantConfig:
     normal_sd: float = DEFAULT_NORMAL_SD
 
     def __post_init__(self):
-        if self.i_scale <= 0:
-            raise ValueError("i_scale must be positive")
-        if self.normal_sd <= 0:
-            raise ValueError("normal_sd must be positive")
+        if not (math.isfinite(self.i_scale) and self.i_scale > 0):
+            raise ValueError("i_scale must be positive and finite")
+        if not (math.isfinite(self.normal_sd) and self.normal_sd > 0):
+            raise ValueError("normal_sd must be positive and finite")
         if self.i_scale != 1.0 and self.element_b is not ElementB.SCALE_I:
             raise ValueError("i_scale needs element_b scale_i")
         if self.normal_sd != DEFAULT_NORMAL_SD and self.element_a is not ElementA.NORMAL:
@@ -165,30 +165,22 @@ def _unit_step(x):
 
 def compute_L(x: np.ndarray, params: ParamSet, inst: TspInstance,
               cfg: VariantConfig) -> np.ndarray:
-    """Illumination values for every lane from the current branch lengths.
+    """Boolean illumination mask of every lane from the current branch lengths.
 
     The inner response of each branch is summed through the lane-coupling
     weights by coupling_field (row and column conflicts plus cyclically
-    adjacent distance costs), and the outer response of that field is
-    inverted: a lane is illuminated when its accumulated cost pressure
-    exceeds the outer threshold. L_INNER_STEP and L_OUTER_STEP harden the
-    respective sigmoids into unit steps.
+    adjacent distance costs). A lane is lit when its illumination, one minus
+    the outer logistic of that pressure, is strictly above 0.5. A logistic
+    crosses 0.5 exactly at its threshold, so the lit test is
+    pressure < OUTER_SIGMOID.theta and the outer sigmoid never needs to be
+    evaluated; hardening it into a step (L_OUTER_STEP) gives the same mask.
+    L_INNER_STEP hardens the inner sigmoid into a unit step.
     """
     if ElementC.L_INNER_STEP in cfg.element_c:
         inner = _unit_step(x - INNER_SIGMOID.theta)
     else:
         inner = sigmoid(INNER_SIGMOID, x)
-    pressure = coupling_field(inner, params, inst)
-    if ElementC.L_OUTER_STEP in cfg.element_c:
-        outer = _unit_step(pressure - OUTER_SIGMOID.theta)
-    else:
-        outer = sigmoid(OUTER_SIGMOID, pressure)
-    return 1.0 - outer
-
-
-def illuminated_mask(l_values: np.ndarray) -> np.ndarray:
-    """Strictly above 0.5 is illuminated; the boundary elongates."""
-    return l_values > 0.5
+    return coupling_field(inner, params, inst) < OUTER_SIGMOID.theta
 
 
 def compute_O(x: np.ndarray, illum: np.ndarray, cfg: VariantConfig,
@@ -242,7 +234,7 @@ def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
     gain the elongation. Branch lengths are not clipped.
     """
     n = inst.n
-    illum = illuminated_mask(compute_L(state.x, params, inst, cfg))
+    illum = compute_L(state.x, params, inst, cfg)
     l_off = int(n * n - illum.sum())
     o_values = compute_O(state.x, illum, cfg, params.delta_out)
     total_o = float(o_values.sum())

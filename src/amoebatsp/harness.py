@@ -224,7 +224,11 @@ def read_results_csv(path) -> list[AggregateStats]:
     """Read a results CSV back into aggregates (per_trial not recoverable)."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in RESULTS_CSV_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: results CSV lacks columns {missing}")
+        for row in reader:
             out.append(AggregateStats(
                 variant=row["variant"], n=int(row["n"]), trials=int(row["trials"]),
                 success_rate=float(row["success_rate"]),

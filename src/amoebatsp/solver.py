@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
             "nu is not calibrated for this map; use ParamSet.for_instance or compute_nu")
     if max_iters < 1:
         raise ConfigurationError("max_iters must be at least 1")
+    if init_level is not None and not math.isfinite(init_level):
+        raise ConfigurationError("init_level must be finite")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = AmoebaState.initial(inst.n, level=init_level)
     diags: list[StepDiagnostics] | None = [] if trace else None

@@ -90,6 +90,19 @@ class TestSolve:
         assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "batch"])
+def test_nonfinite_init_level_rejected(map10, tmp_path, capsys, command, level):
+    # a non-finite start can never reach a tour, so it must not run the budget
+    out = tmp_path / "r.csv"
+    args = {"solve": ["--map", str(map10)],
+            "batch": ["--n", "10", "--trials", "2", "--out", str(out)]}[command]
+    code = run_cli([command, *args, f"--init-level={level}"])
+    assert code == EXIT_USAGE
+    assert "error: init_level must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBatchSweepFit:
     def test_batch_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -165,6 +178,15 @@ class TestBatchSweepFit:
                                    "--out", str(path)])
             assert code == EXIT_OK
         assert a.read_bytes() != b.read_bytes()
+
+    def test_fit_names_missing_columns(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text("variant,n\nx,5\n")
+        code = run_cli(["fit-scaling", "--results", str(results),
+                        "--out", str(tmp_path / "f.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "lacks columns ['trials', 'success_rate'" in err
 
     def test_fit_needs_three_sizes(self, tmp_path):
         results = tmp_path / "short.csv"

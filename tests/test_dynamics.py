@@ -25,7 +25,7 @@ from amoebatsp import (
     sigmoid,
     step,
 )
-from amoebatsp.dynamics import _unit_step, illuminated_mask
+from amoebatsp.dynamics import OUTER_SIGMOID, _unit_step
 
 ORIGINAL = VariantConfig()
 NOISELESS = VariantConfig(element_a=ElementA.ZERO)
@@ -95,6 +95,13 @@ class TestVariantConfig:
         ({"element_b": ElementB.DENOM_N, "i_scale": 1.1}, "i_scale needs element_b scale_i"),
         ({"normal_sd": 0.5}, "normal_sd needs element_a normal"),
         ({"element_a": ElementA.ZERO, "normal_sd": 0.004}, "normal_sd needs element_a normal"),
+        # a non-finite knob would run the whole budget without a tour
+        ({"element_b": ElementB.SCALE_I, "i_scale": float("nan")}, "i_scale must be positive"),
+        ({"element_b": ElementB.SCALE_I, "i_scale": float("inf")}, "i_scale must be positive"),
+        ({"element_a": ElementA.NORMAL, "normal_sd": float("nan")},
+         "normal_sd must be positive"),
+        ({"element_a": ElementA.NORMAL, "normal_sd": float("inf")},
+         "normal_sd must be positive"),
     ])
     def test_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -125,15 +132,14 @@ class TestComputeL:
                 if outer_step:
                     flags.add(ElementC.L_OUTER_STEP)
                 cfg = VariantConfig(element_c=frozenset(flags))
-                got = compute_L(x, p, inst, cfg)
-                want = literal_illumination(x, p, inst, inner_step, outer_step)
-                assert np.allclose(got, want, atol=1e-12)
+                want = literal_illumination(x, p, inst, inner_step, outer_step) > 0.5
+                assert np.array_equal(compute_L(x, p, inst, cfg), want)
 
     def test_dark_at_zero_state(self, setup):
         inst, p = setup
-        l_values = compute_L(np.zeros((5, 5)), p, inst, ORIGINAL)
-        assert (np.abs(l_values) <= 1e-6).all()
-        assert not illuminated_mask(l_values).any()
+        illum = compute_L(np.zeros((5, 5)), p, inst, ORIGINAL)
+        assert illum.dtype == bool
+        assert not illum.any()
 
     def test_tour_lanes_stay_dark_at_full_occupancy(self, setup):
         inst, p = setup
@@ -141,8 +147,7 @@ class TestComputeL:
         tour = (1, 3, 0, 4, 2)
         for k, city in enumerate(tour):
             x[city, k] = 1.0
-        l_values = compute_L(x, p, inst, ORIGINAL)
-        illum = illuminated_mask(l_values)
+        illum = compute_L(x, p, inst, ORIGINAL)
         for k, city in enumerate(tour):
             assert not illum[city, k]
         # every row conflict of an occupied lane is lit
@@ -151,35 +156,44 @@ class TestComputeL:
                 if other_k != k:
                     assert illum[city, other_k]
 
-    def test_outer_step_agrees_away_from_boundary(self, setup):
-        # hardening the outer sigmoid changes nothing except within a thin
-        # shell around the threshold
+    def test_outer_step_gives_the_same_mask(self, setup):
+        # the outer sigmoid's 0.5 cut is its threshold, so hardening it
+        # into a step changes no lane
         inst, p = setup
         rng = np.random.default_rng(5)
         cfg_step = VariantConfig(element_c=frozenset({ElementC.L_OUTER_STEP}))
         for _ in range(20):
             x = rng.uniform(0.0, 1.0, (5, 5))
-            inner = sigmoid(SigmoidParams(35, 0.6), x)
-            rows = inner.sum(axis=1, keepdims=True)
-            cols = inner.sum(axis=0, keepdims=True)
-            adj = np.roll(inner, 1, axis=1) + np.roll(inner, -1, axis=1)
-            pressure = -(p.lam * (rows - inner) + p.mu * (cols - inner)
-                         + p.nu * (inst.dist @ adj))
-            away = np.abs(pressure + 0.5) > 0.05
-            a = illuminated_mask(compute_L(x, p, inst, ORIGINAL))
-            b = illuminated_mask(compute_L(x, p, inst, cfg_step))
-            assert np.array_equal(a[away], b[away])
+            a = compute_L(x, p, inst, ORIGINAL)
+            b = compute_L(x, p, inst, cfg_step)
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        # every float within 4000 ulps of the threshold, on both sides
+        st.integers(-4000, 4000).map(lambda k: float(
+            (np.array(OUTER_SIGMOID.theta).view(np.int64) + k).view(np.float64))),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([np.inf, -np.inf]),
+    ))
+    def test_outer_half_cut_is_its_threshold(self, pressure):
+        with np.errstate(over="ignore"):
+            lit = (1.0 - sigmoid(OUTER_SIGMOID, pressure)) > 0.5
+        assert bool(lit) == (pressure < OUTER_SIGMOID.theta)
 
     def test_monotone_in_every_branch(self, setup):
+        # growing any lane only lowers the coupling field of every lane, so a
+        # lit lane stays lit
         inst, p = setup
         rng = np.random.default_rng(7)
-        x = rng.uniform(0.3, 0.7, (5, 5))
+        x = rng.uniform(0.3, 0.6, (5, 5))
         base = compute_L(x, p, inst, ORIGINAL)
+        assert base.any() and not base.all()
         for _ in range(10):
             u, l = rng.integers(0, 5, 2)
             bumped = x.copy()
             bumped[u, l] += 0.1
-            assert (compute_L(bumped, p, inst, ORIGINAL) >= base - 1e-15).all()
+            assert compute_L(bumped, p, inst, ORIGINAL)[base].all()
 
 
 class TestComputeO:
@@ -394,7 +408,7 @@ class TestStep:
         state, diag = step(before, inst, p, ORIGINAL, rng)
         assert state.t == 1 and diag.t == 1
         assert diag.sum_x == pytest.approx(state.x.sum())
-        assert diag.l_off == int((compute_L(before.x, p, inst, ORIGINAL) <= 0.5).sum())
+        assert diag.l_off == int((~compute_L(before.x, p, inst, ORIGINAL)).sum())
 
 
 class TestEquivariance:
