@@ -224,6 +224,8 @@ def cmd_reproduce(args, parser) -> int:
                 parser.error(f"no reference row for n={n}")
         plan = [(f"improved n={n}", "improved", n, REFERENCE_IMPROVED_SWEEP[n]) for n in n_list]
     else:
+        if args.n_list is not None:
+            parser.error("--n-list applies only to table 5")
         plan = [(name, name, 20, REFERENCE_N20[name]) for name in REFERENCE_TABLES[args.table]]
     rows = []
     all_ok = True

@@ -152,15 +152,12 @@ def initial_level(n: int) -> float:
 
 def sigmoid(p: SigmoidParams, x):
     """Logistic response 1 / (1 + exp(-z)) to z = p.gamma * (x - p.theta),
-    computed from exp(-|z|) so that it never overflows."""
-    z = p.gamma * (np.asarray(x, dtype=float) - p.theta)
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    evaluated as 0.5 + 0.5 tanh(z / 2).
 
-
-def _unit_step(x):
-    """Heaviside with the convention step(0) = 1."""
-    return (np.asarray(x, dtype=float) >= 0.0).astype(float)
+    tanh saturates at +-1 instead of overflowing, so one expression covers
+    every z with no branch, and the response at theta is exactly 0.5.
+    """
+    return 0.5 + 0.5 * np.tanh(0.5 * p.gamma * (np.asarray(x, dtype=float) - p.theta))
 
 
 def compute_L(x: np.ndarray, params: ParamSet, inst: TspInstance,
@@ -174,10 +171,11 @@ def compute_L(x: np.ndarray, params: ParamSet, inst: TspInstance,
     crosses 0.5 exactly at its threshold, so the lit test is
     pressure < OUTER_SIGMOID.theta and the outer sigmoid never needs to be
     evaluated; hardening it into a step (L_OUTER_STEP) gives the same mask.
-    L_INNER_STEP hardens the inner sigmoid into a unit step.
+    L_INNER_STEP hardens the inner sigmoid into a unit step that is 1 from
+    its threshold up.
     """
     if ElementC.L_INNER_STEP in cfg.element_c:
-        inner = _unit_step(x - INNER_SIGMOID.theta)
+        inner = (x >= INNER_SIGMOID.theta).astype(float)
     else:
         inner = sigmoid(INNER_SIGMOID, x)
     return coupling_field(inner, params, inst) < OUTER_SIGMOID.theta

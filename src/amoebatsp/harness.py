@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
@@ -152,6 +153,7 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
         map_seed = _derive_seed(global_seed, _MAP_STREAM)
     job = partial(_trial, n=n, cfg=cfg, global_seed=global_seed, map_seed=map_seed,
                   max_iters=max_iters, init_level=init_level, keep_trials=keep_trials)
+    workers = min(workers, trials)
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(job, range(trials))
@@ -188,11 +190,16 @@ def aggregate(results: list[TrialResult], variant_name: str, n: int) -> Aggregat
 
 
 def fit_scaling(stats: list[AggregateStats]) -> ScalingFit:
-    """Least squares on (ln n, ln mean iterations); needs 3+ solved sizes."""
+    """Least squares on (ln n, ln mean iterations); needs 3+ distinct solved
+    sizes, each with a finite positive n and mean."""
     points = [(s.n, s.avg_iterations) for s in stats
               if s.success_rate > 0 and s.avg_iterations is not None]
-    if len(points) < 3:
-        raise ValueError("scaling fit needs at least 3 sizes with successes")
+    for n, it in points:
+        if not (n > 0 and math.isfinite(it) and it > 0):
+            raise ValueError(f"scaling fit needs finite positive n and mean iterations, "
+                             f"got n={n} avg_iterations={it}")
+    if len({n for n, _ in points}) < 3:
+        raise ValueError("scaling fit needs at least 3 distinct sizes with successes")
     ln_n = np.log([p[0] for p in points])
     ln_it = np.log([p[1] for p in points])
     design = np.vstack([ln_n, np.ones_like(ln_n)]).T

@@ -220,14 +220,14 @@ def decode_solution(x: np.ndarray) -> DecodedSolution:
     """Threshold branch lengths at 0.99 and extract the tour if valid.
 
     The boundary value 0.99 itself counts as occupied. The tour is present
-    only when every row and every column holds exactly one occupied lane.
+    only when every row and every column holds exactly one occupied lane;
+    a state without exactly n occupied lanes is rejected before the row
+    and column sums.
     """
-    x = np.asarray(x)
-    x_bin = (x >= 0.99).astype(np.int8)
-    n = x_bin.shape[0]
-    if (x_bin.sum(axis=0) == 1).all() and (x_bin.sum(axis=1) == 1).all():
-        tour = tuple(int(np.argmax(x_bin[:, k])) for k in range(n))
-        return DecodedSolution(x_bin=x_bin, tour=tour)
+    x_bin = (np.asarray(x) >= 0.99).astype(np.int8)
+    if (x_bin.sum() == x_bin.shape[0] and (x_bin.sum(axis=0) == 1).all()
+            and (x_bin.sum(axis=1) == 1).all()):
+        return DecodedSolution(x_bin=x_bin, tour=tuple(x_bin.argmax(axis=0).tolist()))
     return DecodedSolution(x_bin=x_bin, tour=None)
 
 

@@ -188,6 +188,26 @@ class TestBatchSweepFit:
         err = capsys.readouterr().err
         assert "error:" in err and "lacks columns ['trials', 'success_rate'" in err
 
+    @pytest.mark.parametrize("rows,problem", [
+        ([(8, "80.0"), (10, "nan"), (12, "120.0")],
+         "finite positive n and mean iterations, got n=10 avg_iterations=nan"),
+        ([(8, "80.0"), (10, "-100.0"), (12, "120.0")],
+         "finite positive n and mean iterations, got n=10 avg_iterations=-100.0"),
+        ([(0, "80.0"), (10, "100.0"), (12, "120.0")],
+         "finite positive n and mean iterations, got n=0 avg_iterations=80.0"),
+        ([(10, "90.0"), (10, "100.0"), (10, "110.0")], "at least 3 distinct sizes"),
+    ], ids=["nan-mean", "negative-mean", "zero-n", "one-size"])
+    def test_fit_rejects_unfittable_points(self, tmp_path, capsys, rows, problem):
+        results = tmp_path / "r.csv"
+        results.write_text("variant,n,trials,success_rate,avg_iterations,std_iterations,"
+                           "avg_ratio,std_ratio\n"
+                           + "".join(f"x,{n},5,1.0,{it},,0.9,\n" for n, it in rows))
+        fit_out = tmp_path / "f.json"
+        code = run_cli(["fit-scaling", "--results", str(results), "--out", str(fit_out)])
+        assert code == EXIT_USAGE
+        assert f"error: scaling fit needs {problem}" in capsys.readouterr().err
+        assert not fit_out.exists()
+
     def test_fit_needs_three_sizes(self, tmp_path):
         results = tmp_path / "short.csv"
         run_cli(["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2",
@@ -262,6 +282,15 @@ class TestReproduce:
         overall = out.splitlines()[-1]
         assert overall in ("overall: PASS", "overall: FAIL")
         assert code == (EXIT_OK if overall == "overall: PASS" else EXIT_VERDICT_FAIL)
+
+    def test_n_list_only_on_table_five(self, capsys, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran before the flag was checked")
+
+        monkeypatch.setattr("amoebatsp.cli.run_batch", no_batch)
+        code = run_cli(["reproduce", "--table", "2", "--trials", "1", "--n-list", "10,50"])
+        assert code == EXIT_USAGE
+        assert "error: --n-list applies only to table 5" in capsys.readouterr().err
 
     def test_unknown_table_rejected(self):
         assert run_cli(["reproduce", "--table", "7"]) == EXIT_USAGE

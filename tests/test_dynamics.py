@@ -25,7 +25,7 @@ from amoebatsp import (
     sigmoid,
     step,
 )
-from amoebatsp.dynamics import OUTER_SIGMOID, _unit_step
+from amoebatsp.dynamics import CONTRACTION_SIGMOID, INNER_SIGMOID, OUTER_SIGMOID
 
 ORIGINAL = VariantConfig()
 NOISELESS = VariantConfig(element_a=ElementA.ZERO)
@@ -53,6 +53,19 @@ def literal_illumination(x, params, inst, inner_step=False, outer_step=False):
     return out
 
 
+def literal_logistic(p, x):
+    """Reference logistic from exp(-|z|), one branch per sign of z."""
+    z = p.gamma * (np.asarray(x, dtype=float) - p.theta)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def floats_near(theta, ulps):
+    """Every float within `ulps` representable steps of theta."""
+    base = np.array(theta).view(np.int64)
+    return st.integers(-ulps, ulps).map(lambda k: float((base + k).view(np.float64)))
+
+
 class TestSigmoid:
     def test_half_at_threshold(self):
         assert sigmoid(SigmoidParams(35, 0.6), 0.6) == pytest.approx(0.5)
@@ -78,8 +91,21 @@ class TestSigmoid:
         assert sigmoid(p, 1e6) == 1.0
         assert sigmoid(p, -1e6) == 0.0
 
-    def test_step_convention_at_zero(self):
-        assert _unit_step(np.array(0.0)) == 1.0
+    @pytest.mark.parametrize("p", [INNER_SIGMOID, OUTER_SIGMOID, CONTRACTION_SIGMOID])
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_tanh_form_matches_reference(self, p, data):
+        # within two ulps of 1.0 of the exp(-|z|) form, exactly 0.5 at theta,
+        # and monotone, over wide floats, +-inf and floats near theta
+        arguments = st.one_of(floats_near(p.theta, 4000), st.floats(p.theta - 2.0, p.theta + 2.0),
+                              st.floats(allow_nan=False))
+        xs = np.sort(data.draw(st.lists(arguments, min_size=1, max_size=50)))
+        with np.errstate(over="ignore"):
+            got = sigmoid(p, xs)
+            want = literal_logistic(p, xs)
+        assert np.abs(got - want).max() <= 4.5e-16
+        assert sigmoid(p, p.theta) == 0.5
+        assert (np.diff(got) >= 0).all()
 
 
 class TestVariantConfig:
@@ -141,6 +167,13 @@ class TestComputeL:
         assert illum.dtype == bool
         assert not illum.any()
 
+    def test_inner_step_is_one_at_threshold(self, setup):
+        # c3's unit step counts a lane exactly at theta as occupied; with
+        # step(0) = 0 this state would have no pressure and stay all dark
+        inst, p = setup
+        cfg = VariantConfig(element_c=frozenset({ElementC.L_INNER_STEP}))
+        assert compute_L(np.full((5, 5), INNER_SIGMOID.theta), p, inst, cfg).all()
+
     def test_tour_lanes_stay_dark_at_full_occupancy(self, setup):
         inst, p = setup
         x = np.zeros((5, 5))
@@ -171,8 +204,7 @@ class TestComputeL:
     @settings(max_examples=300)
     @given(st.one_of(
         # every float within 4000 ulps of the threshold, on both sides
-        st.integers(-4000, 4000).map(lambda k: float(
-            (np.array(OUTER_SIGMOID.theta).view(np.int64) + k).view(np.float64))),
+        floats_near(OUTER_SIGMOID.theta, 4000),
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([np.inf, -np.inf]),
     ))

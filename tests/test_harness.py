@@ -89,6 +89,23 @@ class TestRunBatch:
         assert a.avg_ratio == b.avg_ratio
         assert a.std_ratio == b.std_ratio
 
+    def test_pool_no_larger_than_the_batch(self, monkeypatch):
+        import amoebatsp.harness as harness
+
+        sizes = []
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return real_pool(processes)
+
+        real_pool = harness.Pool
+        monkeypatch.setattr(harness, "Pool", recording_pool)
+        a = run_batch(10, 2, preset("improved"), global_seed=3, workers=4, keep_trials=True)
+        b = run_batch(10, 2, preset("improved"), global_seed=3, workers=1, keep_trials=True)
+        assert sizes == [2]
+        assert ([(r.iterations, r.tour) for r in a.per_trial]
+                == [(r.iterations, r.tour) for r in b.per_trial])
+
     def test_trial_seed_derivation_contract(self):
         # batch trial i must equal a hand-built trial with the derived seeds
         stats = run_batch(10, 3, preset("improved"), global_seed=9, keep_trials=True)
