@@ -13,7 +13,6 @@ from .dynamics import (
     compute_I_and_S,
     compute_L,
     compute_O,
-    conservation_residual,
     initial_level,
     sample_fluctuations,
     sigmoid,
@@ -56,7 +55,7 @@ __all__ = [
     "GenMeta", "InvalidInstanceError", "ParamSet", "ScalingFit", "SigmoidParams",
     "StepDiagnostics", "TrialResult", "TspInstance", "VariantConfig", "aggregate",
     "brute_force_optimum", "compute_I_and_S", "compute_L",
-    "compute_O", "compute_nu", "conservation_residual", "cost_function",
+    "compute_O", "compute_nu", "cost_function",
     "cost_weight", "coupling_field", "decode_solution", "estimated_route_length", "fit_scaling",
     "generate_map", "initial_level", "load_map", "preset", "route_length", "run_batch",
     "run_trial", "sample_fluctuations", "save_map", "sigmoid", "step",

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .dynamics import ElementA, ElementB, ElementC, VariantConfig, conservation_residual
+from .dynamics import ElementA, ElementB, ElementC, VariantConfig
 from .harness import (
     PRESETS,
     REFERENCE_IMPROVED_SWEEP,
@@ -136,14 +137,11 @@ def cmd_solve(args, parser) -> int:
     params = ParamSet.for_instance(inst)
     result = run_trial(inst, params, cfg, seed=args.seed, max_iters=args.max_iters,
                        trace=args.trace is not None, init_level=args.init_level)
-    if args.trace is not None and result.trace is not None:
+    if args.trace is not None:
         with open(args.trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "L_off", "sum_X", "S", "total_O", "residual"])
-            for diag in result.trace:
-                writer.writerow([diag.t, diag.l_off, repr(diag.sum_x), repr(diag.stock),
-                                 repr(diag.total_o),
-                                 repr(conservation_residual(diag, params.delta_in))])
+            writer.writerows(dataclasses.astuple(d) for d in result.trace)
         print(f"trace written to {args.trace} ({len(result.trace)} rows)")
     if result.success:
         tour_1based = " ".join(str(c + 1) for c in result.tour)
@@ -218,7 +216,9 @@ def _near(value, ref, tol) -> bool:
 def cmd_reproduce(args, parser) -> int:
     """Re-run a reference table's rows and compare side by side."""
     if args.table == "5":
-        n_list = args.n_list or [10, 20, 50, 100]
+        n_list = [10, 20, 50, 100] if args.n_list is None else args.n_list
+        if not n_list:
+            parser.error("--n-list must name at least one city count")
         for n in n_list:
             if n not in REFERENCE_IMPROVED_SWEEP:
                 parser.error(f"no reference row for n={n}")

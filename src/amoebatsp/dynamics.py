@@ -110,15 +110,21 @@ class AmoebaState:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step observables, convertible to one trace CSV row."""
+    """Per-step observables; the fields, in order, are one trace CSV row.
+
+    residual is the mass-budget probe: net branch growth minus the summed
+    fluctuations minus the hub leak delta_in. It is zero (to rounding)
+    whenever the step ran under the original elongation rule with some lane
+    off and an empty stock; under modified rules it measures how far the
+    step strays from that budget.
+    """
 
     t: int
     l_off: int
-    total_o: float
-    total_xi: float
-    delta_sum_x: float
     sum_x: float
     stock: float
+    total_o: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -222,14 +228,16 @@ def sample_fluctuations(cfg: VariantConfig, n: int, rng: np.random.Generator,
 
 
 def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
-         cfg: VariantConfig, rng: np.random.Generator) -> tuple[AmoebaState, StepDiagnostics]:
+         cfg: VariantConfig, rng: np.random.Generator,
+         trace: list[StepDiagnostics] | None = None) -> AmoebaState:
     """Advance the state one synchronous iteration.
 
     Everything is computed from the pre-step state: the illumination mask,
     then contraction, then the elongation of each dark lane and the next
     stock from compute_I_and_S (consuming the previous stock), then
     fluctuations; illuminated lanes lose their contraction while the rest
-    gain the elongation. Branch lengths are not clipped.
+    gain the elongation. Branch lengths are not clipped. When trace is a
+    list, the step's StepDiagnostics row is appended to it.
     """
     n = inst.n
     illum = compute_L(state.x, params, inst, cfg)
@@ -239,24 +247,8 @@ def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
     i_value, s_next = compute_I_and_S(total_o, state.stock, l_off, n, cfg, params.delta_in)
     xi = sample_fluctuations(cfg, n, rng, params.delta)
     x_next = np.where(illum, state.x - o_values, state.x + i_value) + xi
-    sum_x = float(x_next.sum())
-    diag = StepDiagnostics(
-        t=state.t + 1,
-        l_off=l_off,
-        total_o=total_o,
-        total_xi=float(xi.sum()),
-        delta_sum_x=sum_x - float(state.x.sum()),
-        sum_x=sum_x,
-        stock=s_next,
-    )
-    return AmoebaState(x=x_next, stock=s_next, t=state.t + 1), diag
-
-
-def conservation_residual(diag: StepDiagnostics, delta_in: float) -> float:
-    """Mass-budget probe: net branch growth minus fluctuations minus the leak.
-
-    Zero (to rounding) whenever the step ran under the original elongation
-    rule with some lane off and an empty stock; under modified rules it
-    measures how far the step strays from that budget.
-    """
-    return diag.delta_sum_x - diag.total_xi - delta_in
+    if trace is not None:
+        sum_x = float(x_next.sum())
+        residual = sum_x - float(state.x.sum()) - float(xi.sum()) - params.delta_in
+        trace.append(StepDiagnostics(state.t + 1, l_off, sum_x, s_next, total_o, residual))
+    return AmoebaState(x=x_next, stock=s_next, t=state.t + 1)

@@ -277,14 +277,23 @@ def save_map(inst: TspInstance, path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _json_int(value, key: str) -> int:
+    """value when it is a JSON integer; a float, string or bool raises TypeError
+    instead of being truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_map(path) -> TspInstance:
     """Read a map written by save_map."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "n")
         flat = np.array(data["dist"], dtype=float)
         gen = data.get("gen")
-        meta = GenMeta(seed=int(gen["seed"]), mean=float(gen["mean"]), sd=float(gen["sd"])) if gen else None
+        meta = (GenMeta(seed=_json_int(gen["seed"], "gen.seed"), mean=float(gen["mean"]),
+                        sd=float(gen["sd"])) if gen else None)
     except KeyError as exc:
         raise InvalidInstanceError(f"malformed map file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -54,9 +54,7 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
     state = AmoebaState.initial(inst.n, level=init_level)
     diags: list[StepDiagnostics] | None = [] if trace else None
     for _ in range(max_iters):
-        state, diag = step(state, inst, params, cfg, rng)
-        if trace:
-            diags.append(diag)
+        state = step(state, inst, params, cfg, rng, diags)
         tour = decode_solution(state.x).tour
         if tour is not None:
             r_calc = route_length(tour, inst)

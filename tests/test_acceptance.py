@@ -196,12 +196,14 @@ def test_criterion_10_exact_conservation():
     state = AmoebaState.initial(10)
     checked = 0
     worst = 0.0
+    rows = []
     for _ in range(1000):
         prev_stock = state.stock
-        state, diag = step(state, inst, params, cfg, rng)
+        state = step(state, inst, params, cfg, rng, rows)
+        diag = rows[-1]
         if diag.l_off > 0 and prev_stock == 0.0:
             checked += 1
-            worst = max(worst, abs(diag.delta_sum_x - params.delta_in))
+            worst = max(worst, abs(diag.residual))
     ok = checked > 0 and worst <= 1e-12
     record(10, ok, f"conservation over 1000 live steps (n=10): "
                    f"{checked} applicable steps, worst |residual|={worst:.2e} (<=1e-12)")

@@ -1,10 +1,12 @@
 """CLI surface: flags, file formats, and the exit-code contract."""
 
+import csv
+import dataclasses
 import json
 
 import pytest
 
-from amoebatsp import load_map
+from amoebatsp import ParamSet, load_map, preset, run_trial
 from amoebatsp.cli import EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL, main
 
 
@@ -70,6 +72,13 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "t,L_off,sum_X,S,total_O,residual"
         assert len(lines) - 1 == iterations
+        # each row is the trial's diagnostics record, every float exact
+        inst = load_map(map10)
+        result = run_trial(inst, ParamSet.for_instance(inst), preset("improved"), seed=3,
+                           trace=True)
+        parsed = [(int(t), int(l_off), *map(float, rest))
+                  for t, l_off, *rest in csv.reader(lines[1:])]
+        assert parsed == [dataclasses.astuple(d) for d in result.trace]
 
     def test_preset_and_elements_conflict(self, map10, capsys):
         # a given element flag conflicts with a preset even at its default value
@@ -283,14 +292,18 @@ class TestReproduce:
         assert overall in ("overall: PASS", "overall: FAIL")
         assert code == (EXIT_OK if overall == "overall: PASS" else EXIT_VERDICT_FAIL)
 
-    def test_n_list_only_on_table_five(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, message", [
+        (["--table", "2", "--n-list", "10,50"], "error: --n-list applies only to table 5"),
+        (["--table", "5", "--n-list", ""], "error: --n-list must name at least one city count"),
+    ], ids=["table-two", "empty-list"])
+    def test_n_list_only_on_table_five(self, argv, message, capsys, monkeypatch):
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch ran before the flag was checked")
 
         monkeypatch.setattr("amoebatsp.cli.run_batch", no_batch)
-        code = run_cli(["reproduce", "--table", "2", "--trials", "1", "--n-list", "10,50"])
+        code = run_cli(["reproduce", "--trials", "1", *argv])
         assert code == EXIT_USAGE
-        assert "error: --n-list applies only to table 5" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_table_rejected(self):
         assert run_cli(["reproduce", "--table", "7"]) == EXIT_USAGE

@@ -17,7 +17,6 @@ from amoebatsp import (
     compute_I_and_S,
     compute_L,
     compute_O,
-    conservation_residual,
     cost_weight,
     generate_map,
     preset,
@@ -29,6 +28,14 @@ from amoebatsp.dynamics import CONTRACTION_SIGMOID, INNER_SIGMOID, OUTER_SIGMOID
 
 ORIGINAL = VariantConfig()
 NOISELESS = VariantConfig(element_a=ElementA.ZERO)
+
+
+def traced_step(state, inst, params, cfg, rng):
+    """One step and the diagnostics row it records."""
+    rows = []
+    new = step(state, inst, params, cfg, rng, rows)
+    (diag,) = rows
+    return new, diag
 
 
 def literal_illumination(x, params, inst, inner_step=False, outer_step=False):
@@ -319,7 +326,7 @@ class TestStep:
         inst, p = setup
         state = AmoebaState.initial(10, level=0.0)  # everything dark
         rng = np.random.default_rng(0)
-        new, diag = step(state, inst, p, NOISELESS, rng)
+        new, diag = traced_step(state, inst, p, NOISELESS, rng)
         assert diag.l_off == 100
         expected = p.delta_in / 100
         assert np.allclose(new.x - state.x, expected, atol=1e-15)
@@ -332,18 +339,17 @@ class TestStep:
         rng = np.random.default_rng(0)
         for _ in range(50):
             prev_stock = state.stock
-            state, diag = step(state, inst, p, NOISELESS, rng)
+            state, diag = traced_step(state, inst, p, NOISELESS, rng)
             if diag.l_off > 0 and prev_stock == 0.0:
-                assert diag.delta_sum_x == pytest.approx(p.delta_in, abs=1e-12)
-                assert conservation_residual(diag, p.delta_in) == pytest.approx(0.0, abs=1e-12)
+                assert diag.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_all_lit_stocks_and_contracts(self, setup):
         inst, p = setup
         state = AmoebaState.initial(10, level=0.7)  # saturated field: all lit
         rng = np.random.default_rng(0)
-        new, diag = step(state, inst, p, NOISELESS, rng)
+        new, diag = traced_step(state, inst, p, NOISELESS, rng)
         assert diag.l_off == 0
-        assert diag.delta_sum_x == pytest.approx(-diag.total_o, abs=1e-12)
+        assert diag.residual == pytest.approx(-diag.total_o - p.delta_in, abs=1e-12)
         assert new.stock == pytest.approx(p.delta_in + diag.total_o, abs=1e-15)
 
     def test_stock_window_mass_ledger(self, setup):
@@ -355,7 +361,7 @@ class TestStep:
         start_mass = state.x.sum()
         m = 0
         for _ in range(5000):
-            state, diag = step(state, inst, p, NOISELESS, rng)
+            state, diag = traced_step(state, inst, p, NOISELESS, rng)
             if diag.l_off > 0:
                 break
             m += 1
@@ -370,9 +376,9 @@ class TestStep:
         cfg = VariantConfig(element_a=ElementA.ZERO, element_b=ElementB.ZERO_DELTA_IN)
         state = AmoebaState.initial(10, level=0.435)
         rng = np.random.default_rng(0)
-        state, diag = step(state, inst, p, cfg, rng)
+        state, diag = traced_step(state, inst, p, cfg, rng)
         assert diag.l_off > 0
-        assert conservation_residual(diag, p.delta_in) == pytest.approx(-0.001, abs=1e-12)
+        assert diag.residual == pytest.approx(-0.001, abs=1e-12)
 
     def test_scaled_elongation_residual(self, setup):
         # two saturated lanes in one row force a mixed illumination pattern
@@ -381,18 +387,18 @@ class TestStep:
         x = np.full((10, 10), 0.2)
         x[0, 0] = x[0, 5] = 1.0
         state = AmoebaState(x=x, stock=0.0, t=0)
-        new, diag = step(state, inst, p, cfg, np.random.default_rng(0))
+        new, diag = traced_step(state, inst, p, cfg, np.random.default_rng(0))
         assert 0 < diag.l_off < 100
         assert diag.total_o > 0
         expected = 0.1 * (p.delta_in + diag.total_o)
-        assert conservation_residual(diag, p.delta_in) == pytest.approx(expected, abs=1e-12)
+        assert diag.residual == pytest.approx(expected, abs=1e-12)
         assert expected > 0
 
     def test_same_inputs_same_outputs(self, setup):
         inst, p = setup
         state = AmoebaState.initial(10, level=0.435)
-        a, _ = step(state, inst, p, ORIGINAL, np.random.default_rng(99))
-        b, _ = step(state, inst, p, ORIGINAL, np.random.default_rng(99))
+        a = step(state, inst, p, ORIGINAL, np.random.default_rng(99))
+        b = step(state, inst, p, ORIGINAL, np.random.default_rng(99))
         assert np.array_equal(a.x, b.x)
         assert a.stock == b.stock and a.t == b.t
 
@@ -403,7 +409,7 @@ class TestStep:
             state = AmoebaState.initial(10, level=0.435)
             rng = np.random.default_rng(0)
             for _ in range(100):
-                state, _ = step(state, inst, p, NOISELESS, rng)
+                state = step(state, inst, p, NOISELESS, rng)
             return state
 
         a, b = run_100(), run_100()
@@ -427,17 +433,17 @@ class TestStep:
         eligible = 0
         for _ in range(10):
             prev_stock = state.stock
-            state, diag = step(state, inst, p, cfg, rng)
+            state, diag = traced_step(state, inst, p, cfg, rng)
             if diag.l_off > 0 and prev_stock == 0.0:
                 eligible += 1
-                assert abs(conservation_residual(diag, p.delta_in)) <= 1e-12
+                assert abs(diag.residual) <= 1e-12
         assume(eligible > 0)
 
     def test_counter_and_diagnostics(self, setup):
         inst, p = setup
         before = AmoebaState.initial(10)
         rng = np.random.default_rng(4)
-        state, diag = step(before, inst, p, ORIGINAL, rng)
+        state, diag = traced_step(before, inst, p, ORIGINAL, rng)
         assert state.t == 1 and diag.t == 1
         assert diag.sum_x == pytest.approx(state.x.sum())
         assert diag.l_off == int((~compute_L(before.x, p, inst, ORIGINAL)).sum())
@@ -457,10 +463,10 @@ class TestEquivariance:
         inst_p = TspInstance(n=7, dist=np.asarray(inst.dist)[np.ix_(perm, perm)])
         assert ParamSet.for_instance(inst_p).nu == p.nu  # calibration is label-free
 
-        a, _ = step(AmoebaState(x=x[perm], stock=0.0, t=0), inst_p, p, NOISELESS,
-                    np.random.default_rng(0))
-        b, _ = step(AmoebaState(x=x, stock=0.0, t=0), inst, p, NOISELESS,
-                    np.random.default_rng(0))
+        a = step(AmoebaState(x=x[perm], stock=0.0, t=0), inst_p, p, NOISELESS,
+                 np.random.default_rng(0))
+        b = step(AmoebaState(x=x, stock=0.0, t=0), inst, p, NOISELESS,
+                 np.random.default_rng(0))
         assert np.allclose(a.x, b.x[perm], atol=1e-14)
 
     def test_cyclic_visit_order_shift(self):
@@ -471,10 +477,10 @@ class TestEquivariance:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.3, 0.8, (7, 7))
         for shift in (1, 3):
-            a, _ = step(AmoebaState(x=np.roll(x, shift, axis=1), stock=0.0, t=0),
-                        inst, p, NOISELESS, np.random.default_rng(0))
-            b, _ = step(AmoebaState(x=x, stock=0.0, t=0), inst, p, NOISELESS,
-                        np.random.default_rng(0))
+            a = step(AmoebaState(x=np.roll(x, shift, axis=1), stock=0.0, t=0),
+                     inst, p, NOISELESS, np.random.default_rng(0))
+            b = step(AmoebaState(x=x, stock=0.0, t=0), inst, p, NOISELESS,
+                     np.random.default_rng(0))
             assert np.allclose(a.x, np.roll(b.x, shift, axis=1), atol=1e-14)
 
 

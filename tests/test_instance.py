@@ -353,7 +353,12 @@ class TestMapIO:
                 ('{"n": 3, "dist": 5}', "flat list"),
                 ('{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], "gen": {"seed": 1, "sd": 17}}',
                  "missing key 'mean'"),
-                ('{"n": -3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "need at least 3 cities")):
+                ('{"n": -3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "need at least 3 cities"),
+                # a count or seed that is not a JSON integer is not truncated
+                ('{"n": 3.5, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "n must be an integer"),
+                ('{"n": "3", "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "n must be an integer"),
+                ('{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], '
+                 '"gen": {"seed": 2.9, "mean": 100, "sd": 17}}', "gen.seed must be an integer")):
             path.write_text(text)
             with pytest.raises(InvalidInstanceError, match=message):
                 load_map(path)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoebatsp import (
     ConfigurationError,
@@ -14,6 +16,7 @@ from amoebatsp import (
     route_length,
     run_trial,
 )
+from amoebatsp.harness import PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,21 @@ class TestRunTrial:
         assert r.trace is not None
         assert len(r.trace) == r.iterations
         assert [d.t for d in r.trace] == list(range(1, r.iterations + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(3, 12),
+           map_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_trace_leaves_the_trial_unchanged(self, name, n, map_seed, seed):
+        # recording diagnostics reads the state and draws no random numbers
+        inst = generate_map(n, map_seed)
+        p = ParamSet.for_instance(inst)
+        plain = run_trial(inst, p, preset(name), seed=seed, max_iters=150)
+        traced = run_trial(inst, p, preset(name), seed=seed, max_iters=150, trace=True)
+        assert (traced.success, traced.iterations, traced.tour) == \
+            (plain.success, plain.iterations, plain.tour)
+        assert traced.final_x.tobytes() == plain.final_x.tobytes()
+        assert len(traced.trace) == traced.iterations
+        assert traced.trace[-1].sum_x == float(traced.final_x.sum())
 
     def test_trace_off_by_default(self, small):
         inst, p = small
