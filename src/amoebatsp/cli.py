@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -76,9 +77,22 @@ def _add_variant_flags(parser):
 
 def _n_list(text):
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        sizes = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad n-list: {text!r}") from None
+    if any(n < 3 for n in sizes):
+        raise argparse.ArgumentTypeError(f"every city count must be at least 3: {text!r}")
+    return sizes
+
+
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative: {text!r}")
+    return value
 
 
 def _with_config(parser, argv, args):
@@ -304,11 +318,11 @@ def build_parser() -> _Parser:
     _add_init_level_flag(p)
     p.add_argument("--n-list", dest="n_list", type=_n_list, default=None,
                    help="city counts for table 5 (default: 10,20,50,100)")
-    p.add_argument("--iters-tol", dest="iters_tol", type=float, default=0.15,
+    p.add_argument("--iters-tol", dest="iters_tol", type=_tolerance, default=0.15,
                    help="relative tolerance on mean iterations")
-    p.add_argument("--ratio-tol", dest="ratio_tol", type=float, default=0.03,
+    p.add_argument("--ratio-tol", dest="ratio_tol", type=_tolerance, default=0.03,
                    help="absolute tolerance on mean ratio")
-    p.add_argument("--success-tol", dest="success_tol", type=float, default=0.05,
+    p.add_argument("--success-tol", dest="success_tol", type=_tolerance, default=0.05,
                    help="absolute tolerance on success rate")
     p.set_defaults(run=cmd_reproduce)
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -248,13 +248,7 @@ def read_results_csv(path) -> list[AggregateStats]:
 
 
 def write_fit_json(fit: ScalingFit, path) -> None:
-    payload = {
-        "points": [[n, it] for n, it in fit.points],
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "r_squared": fit.r_squared,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(fit), indent=2), encoding="utf-8")
 
 
 def write_plot_data(stats: list[AggregateStats], iters_path, ratio_path) -> None:

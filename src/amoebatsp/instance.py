@@ -285,21 +285,31 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _json_number(value, key: str) -> float:
+    """value as a float when it is a JSON number; a string or bool raises
+    TypeError instead of being coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_map(path) -> TspInstance:
     """Read a map written by save_map."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         n = _json_int(data["n"], "n")
-        flat = np.array(data["dist"], dtype=float)
+        dist = data["dist"]
+        flat = [_json_number(d, "each dist entry") for d in dist] if isinstance(dist, list) else []
         gen = data.get("gen")
-        meta = (GenMeta(seed=_json_int(gen["seed"], "gen.seed"), mean=float(gen["mean"]),
-                        sd=float(gen["sd"])) if gen else None)
+        meta = (GenMeta(seed=_json_int(gen["seed"], "gen.seed"),
+                        mean=_json_number(gen["mean"], "gen.mean"),
+                        sd=_json_number(gen["sd"], "gen.sd")) if gen else None)
     except KeyError as exc:
         raise InvalidInstanceError(f"malformed map file: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed map file: {exc}") from exc
     if n < 3:
         raise InvalidInstanceError(f"need at least 3 cities, got n={n}")
-    if flat.shape != (n * n,):
+    if len(flat) != n * n:
         raise InvalidInstanceError(f"dist must be a flat list of {n * n} entries")
-    return TspInstance(n=n, dist=flat.reshape(n, n), gen_meta=meta)
+    return TspInstance(n=n, dist=np.reshape(flat, (n, n)), gen_meta=meta)

@@ -18,6 +18,10 @@ def run_cli(argv):
         return exc.code
 
 
+def _no_batch(*args, **kwargs):
+    raise AssertionError("a batch ran before the flags were checked")
+
+
 @pytest.fixture(scope="module")
 def map10(tmp_path_factory):
     path = tmp_path_factory.mktemp("maps") / "m10.json"
@@ -176,6 +180,23 @@ class TestBatchSweepFit:
                         "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,config", [
+        (["sweep", "--n-list", "30,2"], None),
+        (["sweep"], {"n_list": [30, 2]}),
+        (["reproduce", "--table", "5", "--n-list", "10,2"], None),
+    ], ids=["sweep", "sweep-config", "reproduce"])
+    def test_city_count_below_three_rejected_before_any_batch(self, tmp_path, capsys,
+                                                               monkeypatch, argv, config):
+        monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        if argv[0] == "sweep":
+            argv = [*argv, "--preset", "improved", "--out", str(tmp_path / "s.csv")]
+        assert run_cli(argv) == EXIT_USAGE
+        assert "every city count must be at least 3" in capsys.readouterr().err
+
     def test_sweep_map_seed_reaches_the_maps(self, tmp_path, capsys):
         base = ["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2"]
         code = run_cli(base + ["--map-seed", "77", "--out", str(tmp_path / "x.csv")])
@@ -297,13 +318,20 @@ class TestReproduce:
         (["--table", "5", "--n-list", ""], "error: --n-list must name at least one city count"),
     ], ids=["table-two", "empty-list"])
     def test_n_list_only_on_table_five(self, argv, message, capsys, monkeypatch):
-        def no_batch(*args, **kwargs):
-            raise AssertionError("a batch ran before the flag was checked")
-
-        monkeypatch.setattr("amoebatsp.cli.run_batch", no_batch)
+        monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
         code = run_cli(["reproduce", "--trials", "1", *argv])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--iters-tol", "-1"), ("--ratio-tol", "nan"), ("--success-tol", "inf"),
+    ])
+    def test_bad_tolerance_rejected_before_any_batch(self, flag, value, capsys, monkeypatch):
+        monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+        code = run_cli(["reproduce", "--table", "2", "--trials", "1", f"{flag}={value}"])
+        assert code == EXIT_USAGE
+        assert f"error: argument {flag}: tolerance must be finite and nonnegative" in \
+            capsys.readouterr().err
 
     def test_unknown_table_rejected(self):
         assert run_cli(["reproduce", "--table", "7"]) == EXIT_USAGE

@@ -358,7 +358,16 @@ class TestMapIO:
                 ('{"n": 3.5, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "n must be an integer"),
                 ('{"n": "3", "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0]}', "n must be an integer"),
                 ('{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], '
-                 '"gen": {"seed": 2.9, "mean": 100, "sd": 17}}', "gen.seed must be an integer")):
+                 '"gen": {"seed": 2.9, "mean": 100, "sd": 17}}', "gen.seed must be an integer"),
+                # distances and generation parameters must be JSON numbers, not strings or bools
+                ('{"n": 3, "dist": ["0", "1", "2", "1", "0", "3", "2", "3", "0"]}',
+                 "each dist entry must be a number"),
+                ('{"n": 3, "dist": [0, true, 2, true, 0, 3, 2, 3, 0]}',
+                 "each dist entry must be a number"),
+                ('{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], '
+                 '"gen": {"seed": 2, "mean": "100", "sd": 17}}', "gen.mean must be a number"),
+                ('{"n": 3, "dist": [0, 1, 1, 1, 0, 1, 1, 1, 0], '
+                 '"gen": {"seed": 2, "mean": 100, "sd": true}}', "gen.sd must be a number")):
             path.write_text(text)
             with pytest.raises(InvalidInstanceError, match=message):
                 load_map(path)
