@@ -9,7 +9,6 @@ whose overall verdict is FAIL.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -26,6 +25,7 @@ from .harness import (
     preset,
     read_results_csv,
     run_batch,
+    write_csv,
     write_fit_json,
     write_plot_data,
     write_results_csv,
@@ -101,8 +101,8 @@ def _with_config(parser, argv, args):
     Each key must name a flag of the command; its entry goes through that
     flag, so it is checked like one and wins over the same flag given
     earlier on the command line. A list of strings repeats its flag; any
-    other list becomes one comma-separated value. A value must be a JSON
-    string exactly when its flag takes text.
+    other list becomes one comma-separated value. A value, or the entries of
+    a list, must be JSON strings exactly when the flag's parsed value is text.
     """
     data = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -121,10 +121,16 @@ def _with_config(parser, argv, args):
             tokens.append(f"{flag}={','.join(map(str, value))}")
     args = parser.parse_args(argv + tokens)
     for key, value in data.items():
-        if isinstance(value, str) != isinstance(getattr(args, key), str):
-            parser.error(f"config key {key!r}: expected {type(getattr(args, key)).__name__}, "
+        wants_text = _holds_text(getattr(args, key))
+        if value != [] and _holds_text(value) != wants_text:  # [] adds no flag
+            parser.error(f"config key {key!r}: expected {'text' if wants_text else 'numbers'}, "
                          f"got {value!r}")
     return args
+
+
+def _holds_text(value) -> bool:
+    """Whether a value, or any entry of a list value, is a string."""
+    return any(isinstance(v, str) for v in (value if isinstance(value, list) else [value]))
 
 
 def _add_run_flags(parser):
@@ -152,10 +158,8 @@ def cmd_solve(args, parser) -> int:
     result = run_trial(inst, params, cfg, seed=args.seed, max_iters=args.max_iters,
                        trace=args.trace is not None, init_level=args.init_level)
     if args.trace is not None:
-        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "L_off", "sum_X", "S", "total_O", "residual"])
-            writer.writerows(dataclasses.astuple(d) for d in result.trace)
+        write_csv(args.trace, ["t", "L_off", "sum_X", "S", "total_O", "residual"],
+                  map(dataclasses.astuple, result.trace))
         print(f"trace written to {args.trace} ({len(result.trace)} rows)")
     if result.success:
         tour_1based = " ".join(str(c + 1) for c in result.tour)

@@ -212,39 +212,35 @@ def fit_scaling(stats: list[AggregateStats]) -> ScalingFit:
                       prefactor=float(np.exp(intercept)), r_squared=r_squared)
 
 
-def write_results_csv(stats: list[AggregateStats], path) -> None:
-    """Fixed-column results CSV; absent averages become empty cells."""
+def write_csv(path, header, rows) -> None:
+    """The one table writer: a header line, then one line per row. None is an
+    empty cell; every other value is written as str() gives it, so floats,
+    numpy's included, appear as their shortest round-trip decimal."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_HEADER)
-        for s in stats:
-            writer.writerow([
-                s.variant, s.n, s.trials, repr(s.success_rate),
-                "" if s.avg_iterations is None else repr(s.avg_iterations),
-                "" if s.std_iterations is None else repr(s.std_iterations),
-                "" if s.avg_ratio is None else repr(s.avg_ratio),
-                "" if s.std_ratio is None else repr(s.std_ratio),
-            ])
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v for v in row] for row in rows)
+
+
+def write_results_csv(stats: list[AggregateStats], path) -> None:
+    """Fixed-column results CSV; absent averages become empty cells."""
+    write_csv(path, RESULTS_CSV_HEADER,
+              ([getattr(s, col) for col in RESULTS_CSV_HEADER] for s in stats))
 
 
 def read_results_csv(path) -> list[AggregateStats]:
     """Read a results CSV back into aggregates (per_trial not recoverable)."""
-    out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in RESULTS_CSV_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: results CSV lacks columns {missing}")
-        for row in reader:
-            out.append(AggregateStats(
-                variant=row["variant"], n=int(row["n"]), trials=int(row["trials"]),
-                success_rate=float(row["success_rate"]),
-                avg_iterations=float(row["avg_iterations"]) if row["avg_iterations"] else None,
-                std_iterations=float(row["std_iterations"]) if row["std_iterations"] else None,
-                avg_ratio=float(row["avg_ratio"]) if row["avg_ratio"] else None,
-                std_ratio=float(row["std_ratio"]) if row["std_ratio"] else None,
-            ))
-    return out
+        # success_rate stays strict: fit_scaling compares it with 0
+        return [AggregateStats(variant=row["variant"], n=int(row["n"]), trials=int(row["trials"]),
+                               success_rate=float(row["success_rate"]),
+                               **{c: float(row[c]) if row[c] else None
+                                  for c in RESULTS_CSV_HEADER[4:]})
+                for row in reader]
 
 
 def write_fit_json(fit: ScalingFit, path) -> None:
@@ -260,13 +256,7 @@ def write_plot_data(stats: list[AggregateStats], iters_path, ratio_path) -> None
         raise ValueError("no successful sizes to plot")
     # sqrt-n curve fitted with the exponent pinned at 1/2
     c = float(np.exp(np.mean([np.log(it) - 0.5 * np.log(n) for n, it, _ in points])))
-    with open(iters_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "avg_iterations", "sqrt_n_fit"])
-        for n, it, _ in points:
-            writer.writerow([n, repr(it), repr(c * np.sqrt(n))])
-    with open(ratio_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "avg_ratio", "reference_0.9"])
-        for n, _, ratio in points:
-            writer.writerow([n, repr(ratio), "0.9"])
+    write_csv(iters_path, ["n", "avg_iterations", "sqrt_n_fit"],
+              ((n, it, c * np.sqrt(n)) for n, it, _ in points))
+    write_csv(ratio_path, ["n", "avg_ratio", "reference_0.9"],
+              ((n, ratio, 0.9) for n, _, ratio in points))

@@ -151,8 +151,12 @@ class TestBatchSweepFit:
                         "--trials", "2", "--global-seed", "1", "--out", str(results),
                         "--plot-iters", str(pa), "--plot-ratio", str(pb)])
         assert code == EXIT_OK
-        assert pa.read_text().splitlines()[0] == "n,avg_iterations,sqrt_n_fit"
-        assert pb.read_text().splitlines()[0] == "n,avg_ratio,reference_0.9"
+        for path, header in ((pa, "n,avg_iterations,sqrt_n_fit"),
+                             (pb, "n,avg_ratio,reference_0.9")):
+            lines = path.read_text().splitlines()
+            assert lines[0] == header
+            rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+            assert [row[0] for row in rows] == [8, 10, 12]
 
     @pytest.mark.parametrize("flag", ["--plot-iters", "--plot-ratio"])
     def test_plot_flags_go_together(self, tmp_path, capsys, flag):
@@ -238,6 +242,17 @@ class TestBatchSweepFit:
         assert f"error: scaling fit needs {problem}" in capsys.readouterr().err
         assert not fit_out.exists()
 
+    def test_fit_rejects_empty_success_rate(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text("variant,n,trials,success_rate,avg_iterations,std_iterations,"
+                           "avg_ratio,std_ratio\n"
+                           + "".join(f"x,{n},5,,{n * 10}.0,,0.9,\n" for n in (8, 10, 12)))
+        code = run_cli(["fit-scaling", "--results", str(results),
+                        "--out", str(tmp_path / "f.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_fit_needs_three_sizes(self, tmp_path):
         results = tmp_path / "short.csv"
         run_cli(["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2",
@@ -275,6 +290,7 @@ class TestConfigFile:
         ("batch", {"n": "20"}),
         ("batch", {"n": 10, "trials": "2"}),
         ("sweep", {"n_list": "8,10,12"}),
+        ("sweep", {"n_list": ["8", "10"]}),
     ])
     def test_string_for_numeric_key_rejected(self, tmp_path, capsys, command, data):
         cfg = tmp_path / "run.json"
@@ -282,6 +298,16 @@ class TestConfigFile:
         code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_USAGE
         assert "error: config key" in capsys.readouterr().err
+
+    def test_list_of_names_repeats_its_flag(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 6, "element_c": ["o_const", "l_inner_step"],
+                                   "trials": 2}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["batch", "--config", str(cfg), "--out", str(a)]) == EXIT_OK
+        assert run_cli(["batch", "--n", "6", "--element-c", "o_const", "--element-c",
+                        "l_inner_step", "--trials", "2", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     def test_file_value_wins_over_flag(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -246,7 +246,11 @@ class TestCsvAndJson:
         lines_a = a.read_text().splitlines()
         assert lines_a[0] == "n,avg_iterations,sqrt_n_fit"
         assert len(lines_a) == 4
+        rows_a = [[float(cell) for cell in line.split(",")] for line in lines_a[1:]]
         # the pinned sqrt-n curve is exact here since points lie on 63.3*sqrt(n)
+        for _, avg, fit in rows_a:
+            assert fit == pytest.approx(avg, rel=1e-12)
         lines_b = b.read_text().splitlines()
         assert lines_b[0] == "n,avg_ratio,reference_0.9"
-        assert lines_b[1].endswith(",0.9")
+        rows_b = [[float(cell) for cell in line.split(",")] for line in lines_b[1:]]
+        assert [row[1:] for row in rows_b] == [[0.9, 0.9]] * 3
