@@ -23,9 +23,15 @@ import numpy as np
 
 from .instance import ParamSet, TspInstance, coupling_field
 
+# Fixed step scales: the bound of the uniform fluctuations, the contraction
+# unit and the constant hub leak per step.
+DELTA = 0.003
+DELTA_OUT = 0.001
+DELTA_IN = 0.001
+
 # Uniform start level at n = INIT_LEVEL_N cities; initial_level(n) carries
 # it to other sizes. The update rules leave a zero-start state permanently
-# dark (the elongation drip is delta_in/n^2 per step and fluctuations alone
+# dark (the elongation drip is DELTA_IN/n^2 per step and fluctuations alone
 # cannot reach the sigmoid active zone within any reasonable budget), so
 # runs start part of the way up. At n=20 this level sits 0.052 below the
 # uniform-state illumination onset; it was calibrated against the n=20
@@ -113,7 +119,7 @@ class StepDiagnostics:
     """Per-step observables; the fields, in order, are one trace CSV row.
 
     residual is the mass-budget probe: net branch growth minus the summed
-    fluctuations minus the hub leak delta_in. It is zero (to rounding)
+    fluctuations minus the hub leak DELTA_IN. It is zero (to rounding)
     whenever the step ran under the original elongation rule with some lane
     off and an empty stock; under modified rules it measures how far the
     step strays from that budget.
@@ -187,20 +193,19 @@ def compute_L(x: np.ndarray, params: ParamSet, inst: TspInstance,
     return coupling_field(inner, params, inst) < OUTER_SIGMOID.theta
 
 
-def compute_O(x: np.ndarray, illum: np.ndarray, cfg: VariantConfig,
-              delta_out: float) -> np.ndarray:
+def compute_O(x: np.ndarray, illum: np.ndarray, cfg: VariantConfig) -> np.ndarray:
     """Per-lane contraction: active only on the lanes the boolean mask
     illum marks as illuminated.
 
-    Original form scales 2*delta_out by the contraction sigmoid of the
+    Original form scales 2*DELTA_OUT by the contraction sigmoid of the
     current length; O_CONST replaces that factor with 1.
     """
     gate = 1.0 if ElementC.O_CONST in cfg.element_c else sigmoid(CONTRACTION_SIGMOID, x)
-    return np.where(illum, 2.0 * delta_out * gate, 0.0)
+    return np.where(illum, 2.0 * DELTA_OUT * gate, 0.0)
 
 
 def compute_I_and_S(total_o: float, s_prev: float, l_off: int, n: int,
-                    cfg: VariantConfig, delta_in: float) -> tuple[float, float]:
+                    cfg: VariantConfig) -> tuple[float, float]:
     """Elongation of each dark lane and the next stock (element B).
 
     The inflow is the hub leak plus the total contraction total_o plus the
@@ -209,22 +214,21 @@ def compute_I_and_S(total_o: float, s_prev: float, l_off: int, n: int,
     DENOM_N), each share scaled by i_scale under SCALE_I, and the stock
     empties. With every lane lit, the whole unscaled inflow is stocked.
     """
-    delta_in_eff = 0.0 if cfg.element_b is ElementB.ZERO_DELTA_IN else delta_in
-    inflow = delta_in_eff + total_o + s_prev
+    delta_in = 0.0 if cfg.element_b is ElementB.ZERO_DELTA_IN else DELTA_IN
+    inflow = delta_in + total_o + s_prev
     if l_off == 0:
         return 0.0, inflow
     share = inflow / (n if cfg.element_b is ElementB.DENOM_N else l_off)
     return (cfg.i_scale * share if cfg.element_b is ElementB.SCALE_I else share), 0.0
 
 
-def sample_fluctuations(cfg: VariantConfig, n: int, rng: np.random.Generator,
-                        delta: float) -> np.ndarray:
+def sample_fluctuations(cfg: VariantConfig, n: int, rng: np.random.Generator) -> np.ndarray:
     """One fresh fluctuation per lane: uniform, zero, or normal."""
     if cfg.element_a is ElementA.ZERO:
         return np.zeros((n, n))
     if cfg.element_a is ElementA.NORMAL:
         return rng.normal(0.0, cfg.normal_sd, (n, n))
-    return rng.uniform(-delta, delta, (n, n))
+    return rng.uniform(-DELTA, DELTA, (n, n))
 
 
 def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
@@ -242,13 +246,13 @@ def step(state: AmoebaState, inst: TspInstance, params: ParamSet,
     n = inst.n
     illum = compute_L(state.x, params, inst, cfg)
     l_off = int(n * n - illum.sum())
-    o_values = compute_O(state.x, illum, cfg, params.delta_out)
+    o_values = compute_O(state.x, illum, cfg)
     total_o = float(o_values.sum())
-    i_value, s_next = compute_I_and_S(total_o, state.stock, l_off, n, cfg, params.delta_in)
-    xi = sample_fluctuations(cfg, n, rng, params.delta)
+    i_value, s_next = compute_I_and_S(total_o, state.stock, l_off, n, cfg)
+    xi = sample_fluctuations(cfg, n, rng)
     x_next = np.where(illum, state.x - o_values, state.x + i_value) + xi
     if trace is not None:
         sum_x = float(x_next.sum())
-        residual = sum_x - float(state.x.sum()) - float(xi.sum()) - params.delta_in
+        residual = sum_x - float(state.x.sum()) - float(xi.sum()) - DELTA_IN
         trace.append(StepDiagnostics(state.t + 1, l_off, sum_x, s_next, total_o, residual))
     return AmoebaState(x=x_next, stock=s_next, t=state.t + 1)

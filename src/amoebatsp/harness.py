@@ -229,18 +229,27 @@ def write_results_csv(stats: list[AggregateStats], path) -> None:
 
 
 def read_results_csv(path) -> list[AggregateStats]:
-    """Read a results CSV back into aggregates (per_trial not recoverable)."""
+    """Read a results CSV back into aggregates (per_trial not recoverable).
+    Only avg/std cells may be empty (fit_scaling compares success_rate with 0);
+    a bad cell raises ValueError naming the file, line, column and cell."""
+    strict = {"n": int, "trials": int, "success_rate": float}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in RESULTS_CSV_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: results CSV lacks columns {missing}")
-        # success_rate stays strict: fit_scaling compares it with 0
-        return [AggregateStats(variant=row["variant"], n=int(row["n"]), trials=int(row["trials"]),
-                               success_rate=float(row["success_rate"]),
-                               **{c: float(row[c]) if row[c] else None
-                                  for c in RESULTS_CSV_HEADER[4:]})
-                for row in reader]
+        stats = []
+        for row in reader:
+            fields = {"variant": row["variant"]}
+            for col in RESULTS_CSV_HEADER[1:]:
+                cell, parse = row[col] or "", strict.get(col, float)
+                try:
+                    fields[col] = parse(cell) if cell or col in strict else None
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num}, column {col}: "
+                                     f"cannot read {cell!r} as {parse.__name__}") from None
+            stats.append(AggregateStats(**fields))
+        return stats
 
 
 def write_fit_json(fit: ScalingFit, path) -> None:

@@ -9,7 +9,6 @@ penalties always dominate any two-edge path cost.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -19,6 +18,10 @@ from pathlib import Path
 import numpy as np
 
 BRUTE_FORCE_MAX_N = 10
+
+# Penalty weights of revisiting a city (LAM) and of visiting two cities at
+# one step (MU): the fixed Hopfield-Tank constants of the model.
+LAM = MU = 0.5
 
 
 class InvalidInstanceError(ValueError):
@@ -68,43 +71,25 @@ class TspInstance:
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Penalty weights and dynamics scales for one run.
+    """The one per-map model weight: nu, which weighs distance cost against
+    the fixed penalties LAM and MU."""
 
-    lam and mu penalise revisiting a city and simultaneous visits; nu weighs
-    distance cost; delta bounds the uniform fluctuations; delta_out is the
-    contraction unit and delta_in the constant hub leak per step.
-    """
-
-    lam: float = 0.5
-    mu: float = 0.5
-    nu: float = 0.0
-    delta: float = 0.003
-    delta_out: float = 0.001
-    delta_in: float = 0.001
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ConfigurationError("lam and mu must be positive")
-        if self.delta < 0 or self.delta_in < 0 or self.delta_out <= 0:
-            raise ConfigurationError("delta/delta_in must be >= 0, delta_out > 0")
+    nu: float
 
     @classmethod
-    def for_instance(cls, inst: TspInstance, **overrides) -> "ParamSet":
-        """Build parameters with nu calibrated for the given map; every
-        other field may be overridden, nu may not."""
-        base = cls(nu=0.0, **overrides)
-        return dataclasses.replace(base, nu=compute_nu(inst, base.lam, base.mu))
+    def for_instance(cls, inst: TspInstance) -> "ParamSet":
+        """nu calibrated for the given map."""
+        return cls(nu=compute_nu(inst))
 
     def is_calibrated(self, inst: TspInstance) -> bool:
-        """True iff nu * (largest two-edge path) <= min(lam, mu)."""
-        return self.nu > 0 and self.nu * max_two_edge_path(inst) <= min(self.lam, self.mu)
+        """True iff nu * (largest two-edge path) <= min(LAM, MU)."""
+        return self.nu > 0 and self.nu * max_two_edge_path(inst) <= min(LAM, MU)
 
 
 @dataclass(frozen=True)
 class DecodedSolution:
-    """Thresholded binary state and, when it is a permutation, the tour."""
+    """The tour read from a state, or None when the state holds none."""
 
-    x_bin: np.ndarray
     tour: tuple[int, ...] | None
 
 
@@ -163,21 +148,19 @@ def round_down_sigfigs(x: float, figs: int = 3) -> float:
     return q * scale
 
 
-def compute_nu(inst: TspInstance, lam: float = 0.5, mu: float = 0.5) -> float:
-    """Distance-cost weight: min(lam, mu) over the worst two-edge path.
+def compute_nu(inst: TspInstance) -> float:
+    """Distance-cost weight: min(LAM, MU) over the worst two-edge path.
 
     Rounded down to 3 significant figures, so the calibration inequality
     still holds after rounding.
     """
-    if lam <= 0 or mu <= 0:
-        raise ConfigurationError("lam and mu must be positive")
-    return round_down_sigfigs(min(lam, mu) / max_two_edge_path(inst), 3)
+    return round_down_sigfigs(min(LAM, MU) / max_two_edge_path(inst), 3)
 
 
 def cost_weight(v: int, k: int, u: int, l: int, params: ParamSet, inst: TspInstance) -> float:
     """Coupling weight between lanes (v, k) and (u, l); all indices 0-based.
 
-    Same city at two steps costs lam; two cities at one step costs mu;
+    Same city at two steps costs LAM; two cities at one step costs MU;
     consecutive steps (cyclically, including the closing edge) cost
     nu * distance; everything else is free.
     """
@@ -186,9 +169,9 @@ def cost_weight(v: int, k: int, u: int, l: int, params: ParamSet, inst: TspInsta
         if not 0 <= idx < n:
             raise IndexError(f"lane index {idx} out of range for n={n}")
     if v == u and k != l:
-        return -params.lam
+        return -LAM
     if v != u and k == l:
-        return -params.mu
+        return -MU
     if v != u and (abs(k - l) == 1 or (k == n - 1 and l == 0) or (k == 0 and l == n - 1)):
         return -params.nu * float(inst.dist[v, u])
     return 0.0
@@ -204,8 +187,8 @@ def coupling_field(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.nda
     row_sums = y.sum(axis=1, keepdims=True)
     col_sums = y.sum(axis=0, keepdims=True)
     adjacent = np.roll(y, 1, axis=1) + np.roll(y, -1, axis=1)
-    return -(params.lam * (row_sums - y)
-             + params.mu * (col_sums - y)
+    return -(LAM * (row_sums - y)
+             + MU * (col_sums - y)
              + params.nu * (inst.dist @ adjacent))
 
 
@@ -227,8 +210,8 @@ def decode_solution(x: np.ndarray) -> DecodedSolution:
     x_bin = (np.asarray(x) >= 0.99).astype(np.int8)
     if (x_bin.sum() == x_bin.shape[0] and (x_bin.sum(axis=0) == 1).all()
             and (x_bin.sum(axis=1) == 1).all()):
-        return DecodedSolution(x_bin=x_bin, tour=tuple(x_bin.argmax(axis=0).tolist()))
-    return DecodedSolution(x_bin=x_bin, tour=None)
+        return DecodedSolution(tour=tuple(x_bin.argmax(axis=0).tolist()))
+    return DecodedSolution(tour=None)
 
 
 def route_length(tour, inst: TspInstance) -> float:

@@ -243,15 +243,19 @@ class TestBatchSweepFit:
         assert not fit_out.exists()
 
     def test_fit_rejects_empty_success_rate(self, tmp_path, capsys):
+        # an empty success_rate, then a fractional n: each message names the
+        # file, the line, the column and the cell
+        header = "variant,n,trials,success_rate,avg_iterations,std_iterations,avg_ratio,std_ratio\n"
         results = tmp_path / "r.csv"
-        results.write_text("variant,n,trials,success_rate,avg_iterations,std_iterations,"
-                           "avg_ratio,std_ratio\n"
-                           + "".join(f"x,{n},5,,{n * 10}.0,,0.9,\n" for n in (8, 10, 12)))
-        code = run_cli(["fit-scaling", "--results", str(results),
-                        "--out", str(tmp_path / "f.json")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        for bad_row, column, cell in (("x,8,5,,80.0,,0.9,", "success_rate", "''"),
+                                      ("x,8.5,5,1.0,80.0,,0.9,", "n", "'8.5'")):
+            results.write_text(header + "x,10,5,1.0,100.0,,0.9,\n" + bad_row + "\n")
+            code = run_cli(["fit-scaling", "--results", str(results),
+                            "--out", str(tmp_path / "f.json")])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            assert f"{results}: line 3, column {column}: cannot read {cell}" in err
 
     def test_fit_needs_three_sizes(self, tmp_path):
         results = tmp_path / "short.csv"

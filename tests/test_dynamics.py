@@ -24,7 +24,7 @@ from amoebatsp import (
     sigmoid,
     step,
 )
-from amoebatsp.dynamics import CONTRACTION_SIGMOID, INNER_SIGMOID, OUTER_SIGMOID
+from amoebatsp.dynamics import CONTRACTION_SIGMOID, DELTA_IN, INNER_SIGMOID, OUTER_SIGMOID
 
 ORIGINAL = VariantConfig()
 NOISELESS = VariantConfig(element_a=ElementA.ZERO)
@@ -239,54 +239,54 @@ class TestComputeO:
     def test_sigmoid_gate_at_threshold(self):
         x = np.full((2, 2), 0.6)
         lit = np.ones((2, 2), dtype=bool)  # all illuminated
-        o = compute_O(x, lit, ORIGINAL, delta_out=0.001)
+        o = compute_O(x, lit, ORIGINAL)
         assert np.allclose(o, 0.001)
 
     def test_constant_contraction_variant(self):
         x = np.full((2, 2), -3.7)
         lit = np.ones((2, 2), dtype=bool)
         cfg = VariantConfig(element_c=frozenset({ElementC.O_CONST}))
-        assert np.allclose(compute_O(x, lit, cfg, 0.001), 0.002)
+        assert np.allclose(compute_O(x, lit, cfg), 0.002)
 
     def test_dark_lanes_do_not_contract(self):
         x = np.full((3, 3), 5.0)
         dark = np.zeros((3, 3), dtype=bool)
-        assert not compute_O(x, dark, ORIGINAL, 0.001).any()
+        assert not compute_O(x, dark, ORIGINAL).any()
 
 
 class TestComputeIAndS:
     def test_all_dark_field(self):
-        i_value, s_next = compute_I_and_S(0.0, 0.0, 400, 20, ORIGINAL, 0.001)
+        i_value, s_next = compute_I_and_S(0.0, 0.0, 400, 20, ORIGINAL)
         assert i_value == pytest.approx(0.001 / 400)
         assert s_next == 0.0
 
     def test_denominator_n_variant(self):
         cfg = VariantConfig(element_b=ElementB.DENOM_N)
-        i_value, _ = compute_I_and_S(0.0, 0.0, 400, 20, cfg, 0.001)
+        i_value, _ = compute_I_and_S(0.0, 0.0, 400, 20, cfg)
         assert i_value == pytest.approx(0.001 / 20)
 
     def test_everything_lit_stocks_inflow(self):
-        i_value, s_next = compute_I_and_S(0.004, 0.0, 0, 2, ORIGINAL, 0.001)
+        i_value, s_next = compute_I_and_S(0.004, 0.0, 0, 2, ORIGINAL)
         assert i_value == 0.0
         assert s_next == pytest.approx(0.005)
 
     def test_stock_released_whole(self):
-        i_value, s_next = compute_I_and_S(0.0, 0.12, 3, 2, ORIGINAL, 0.001)
+        i_value, s_next = compute_I_and_S(0.0, 0.12, 3, 2, ORIGINAL)
         assert i_value == pytest.approx(0.121 / 3)
         assert s_next == 0.0
 
     def test_zero_hub_leak_variant(self):
         cfg = VariantConfig(element_b=ElementB.ZERO_DELTA_IN)
-        i_value, s_next = compute_I_and_S(0.0, 0.0, 0, 2, cfg, 0.001)
+        i_value, s_next = compute_I_and_S(0.0, 0.0, 0, 2, cfg)
         assert s_next == 0.0  # nothing stocked without the leak
 
     def test_scaled_share_variant(self):
         # b1 scales each dark lane's share; the stock of an all-lit step is not
         cfg = preset("b1")
-        i_value, s_next = compute_I_and_S(0.004, 0.0, 3, 2, cfg, 0.001)
+        i_value, s_next = compute_I_and_S(0.004, 0.0, 3, 2, cfg)
         assert i_value == pytest.approx(0.9 * 0.005 / 3, rel=1e-15)
         assert s_next == 0.0
-        i_value, s_next = compute_I_and_S(0.004, 0.0, 0, 2, cfg, 0.001)
+        i_value, s_next = compute_I_and_S(0.004, 0.0, 0, 2, cfg)
         assert i_value == 0.0
         assert s_next == pytest.approx(0.005, rel=1e-15)
 
@@ -294,13 +294,13 @@ class TestComputeIAndS:
 class TestFluctuations:
     def test_zero_variant(self):
         rng = np.random.default_rng(0)
-        xi = sample_fluctuations(VariantConfig(element_a=ElementA.ZERO), 6, rng, 0.003)
+        xi = sample_fluctuations(VariantConfig(element_a=ElementA.ZERO), 6, rng)
         assert not xi.any()
 
     def test_uniform_bounds_and_mean(self):
         rng = np.random.default_rng(1)
         draws = np.concatenate([
-            sample_fluctuations(ORIGINAL, 100, rng, 0.003).ravel() for _ in range(100)
+            sample_fluctuations(ORIGINAL, 100, rng).ravel() for _ in range(100)
         ])
         assert draws.size == 10**6
         assert (np.abs(draws) <= 0.003).all()
@@ -310,7 +310,7 @@ class TestFluctuations:
         rng = np.random.default_rng(2)
         cfg = VariantConfig(element_a=ElementA.NORMAL)
         draws = np.concatenate([
-            sample_fluctuations(cfg, 100, rng, 0.003).ravel() for _ in range(100)
+            sample_fluctuations(cfg, 100, rng).ravel() for _ in range(100)
         ])
         assert abs(draws.std() - 0.003) < 0.003 * 0.02
         assert np.abs(draws).max() > 0.003  # untruncated tails
@@ -328,7 +328,7 @@ class TestStep:
         rng = np.random.default_rng(0)
         new, diag = traced_step(state, inst, p, NOISELESS, rng)
         assert diag.l_off == 100
-        expected = p.delta_in / 100
+        expected = DELTA_IN / 100
         assert np.allclose(new.x - state.x, expected, atol=1e-15)
 
     def test_noiseless_step_conserves_hub_leak(self, setup):
@@ -349,8 +349,8 @@ class TestStep:
         rng = np.random.default_rng(0)
         new, diag = traced_step(state, inst, p, NOISELESS, rng)
         assert diag.l_off == 0
-        assert diag.residual == pytest.approx(-diag.total_o - p.delta_in, abs=1e-12)
-        assert new.stock == pytest.approx(p.delta_in + diag.total_o, abs=1e-15)
+        assert diag.residual == pytest.approx(-diag.total_o - DELTA_IN, abs=1e-12)
+        assert new.stock == pytest.approx(DELTA_IN + diag.total_o, abs=1e-15)
 
     def test_stock_window_mass_ledger(self, setup):
         # m all-lit steps followed by a release: the window's branch growth
@@ -368,7 +368,7 @@ class TestStep:
         else:
             pytest.fail("field never released the stock")
         assert m >= 1
-        assert state.x.sum() - start_mass == pytest.approx((m + 1) * p.delta_in, abs=1e-9)
+        assert state.x.sum() - start_mass == pytest.approx((m + 1) * DELTA_IN, abs=1e-9)
         assert state.stock == 0.0
 
     def test_zero_leak_variant_residual(self, setup):
@@ -390,7 +390,7 @@ class TestStep:
         new, diag = traced_step(state, inst, p, cfg, np.random.default_rng(0))
         assert 0 < diag.l_off < 100
         assert diag.total_o > 0
-        expected = 0.1 * (p.delta_in + diag.total_o)
+        expected = 0.1 * (DELTA_IN + diag.total_o)
         assert diag.residual == pytest.approx(expected, abs=1e-12)
         assert expected > 0
 

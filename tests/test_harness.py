@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoebatsp import (
     ElementA,
@@ -20,6 +22,7 @@ from amoebatsp import (
 from amoebatsp.harness import (
     _MAP_STREAM,
     _TRIAL_STREAM,
+    PRESETS,
     AggregateStats,
     _derive_seed,
     read_results_csv,
@@ -77,12 +80,18 @@ class TestRunBatch:
         b = run_batch(10, 8, preset("improved"), **kwargs)
         assert a == b
 
-    def test_worker_count_independence(self):
-        # trial order rests on Pool.map returning results in input order
-        a = run_batch(10, 8, preset("improved"), global_seed=3, workers=1, keep_trials=True)
-        b = run_batch(10, 8, preset("improved"), global_seed=3, workers=2, keep_trials=True)
-        assert ([(r.iterations, r.tour) for r in a.per_trial]
-                == [(r.iterations, r.tour) for r in b.per_trial])
+    @settings(max_examples=8, deadline=None)
+    @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(3, 8), trials=st.integers(1, 6),
+           workers=st.integers(2, 3), global_seed=st.integers(0, 2**32 - 1),
+           max_iters=st.integers(1, 150))
+    def test_worker_count_independence(self, name, n, trials, workers, global_seed, max_iters):
+        # the seed contract: a trial depends on (global_seed, trial index)
+        # alone, and trial order rests on Pool.map keeping input order
+        kwargs = dict(global_seed=global_seed, max_iters=max_iters, keep_trials=True)
+        a = run_batch(n, trials, PRESETS[name], workers=1, **kwargs)
+        b = run_batch(n, trials, PRESETS[name], workers=workers, **kwargs)
+        assert ([(r.iterations, r.tour, r.final_x.tobytes()) for r in a.per_trial]
+                == [(r.iterations, r.tour, r.final_x.tobytes()) for r in b.per_trial])
         assert a.success_rate == b.success_rate
         assert a.avg_iterations == b.avg_iterations
         assert a.std_iterations == b.std_iterations

