@@ -33,13 +33,9 @@ from .instance import (
     InvalidInstanceError,
     ParamSet,
     TspInstance,
-    brute_force_optimum,
     compute_nu,
-    cost_function,
-    cost_weight,
     coupling_field,
     decode_solution,
-    estimated_route_length,
     generate_map,
     load_map,
     route_length,
@@ -54,9 +50,8 @@ __all__ = [
     "DEFAULT_INIT_LEVEL", "DEFAULT_MAX_ITERS", "ElementA", "ElementB", "ElementC",
     "GenMeta", "InvalidInstanceError", "ParamSet", "ScalingFit", "SigmoidParams",
     "StepDiagnostics", "TrialResult", "TspInstance", "VariantConfig", "aggregate",
-    "brute_force_optimum", "compute_I_and_S", "compute_L",
-    "compute_O", "compute_nu", "cost_function",
-    "cost_weight", "coupling_field", "decode_solution", "estimated_route_length", "fit_scaling",
-    "generate_map", "initial_level", "load_map", "preset", "route_length", "run_batch",
-    "run_trial", "sample_fluctuations", "save_map", "sigmoid", "step",
+    "compute_I_and_S", "compute_L", "compute_O", "compute_nu", "coupling_field",
+    "decode_solution", "fit_scaling", "generate_map", "initial_level", "load_map", "preset",
+    "route_length", "run_batch", "run_trial", "sample_fluctuations", "save_map", "sigmoid",
+    "step",
 ]

@@ -25,6 +25,7 @@ from .harness import (
     preset,
     read_results_csv,
     run_batch,
+    standard_error,
     write_csv,
     write_fit_json,
     write_plot_data,
@@ -226,13 +227,25 @@ def _fmt(value, digits=1):
     return "-" if value is None else f"{value:.{digits}f}"
 
 
+def _vs(s, field, ref, digits) -> str:
+    """'mean +-SE (gap in SE) vs reference' for one compared mean of a batch;
+    the SE needs two solved trials, the gap a reference and a positive SE."""
+    value, se = getattr(s, field), standard_error(s, field)
+    if value is None:
+        return f"- vs {_fmt(ref, digits)}"
+    spread = "" if se is None else f" +-{se:.{digits}f}"
+    gap = f" ({(value - ref) / se:+.1f} SE)" if ref is not None and se else ""
+    return f"{value:.{digits}f}{spread}{gap} vs {_fmt(ref, digits)}"
+
+
 def _near(value, ref, tol) -> bool:
     """True when there is no reference, or the value is within tol of it."""
     return ref is None or (value is not None and abs(value - ref) <= tol)
 
 
 def cmd_reproduce(args, parser) -> int:
-    """Re-run a reference table's rows and compare side by side."""
+    """Re-run a reference table's rows and compare side by side; each mean
+    shows its standard error and its gap to the reference in SE."""
     if args.table == "5":
         n_list = [10, 20, 50, 100] if args.n_list is None else args.n_list
         if not n_list:
@@ -255,12 +268,11 @@ def cmd_reproduce(args, parser) -> int:
               and _near(s.avg_ratio, ref_ratio, args.ratio_tol)
               and _near(s.success_rate, ref_sr, 0.0 if ref_it is None else args.success_tol))
         all_ok &= ok
-        rows.append(f"{label:>14} | {s.success_rate:>6.3f} vs {ref_sr:>5.3f} | "
-                    f"{_fmt(s.avg_iterations):>8} vs {_fmt(ref_it):>7} | "
-                    f"{_fmt(s.avg_ratio, 3):>6} vs {_fmt(ref_ratio, 3):>5} | "
-                    f"{'PASS' if ok else 'FAIL'}")
-    header = (f"{'variant':>14} | {'success':>15} | {'iterations':>19} | "
-              f"{'ratio':>17} | verdict")
+        rows.append(f"{label:>14} | {_vs(s, 'success_rate', ref_sr, 3):>32} | "
+                    f"{_vs(s, 'avg_iterations', ref_it, 1):>34} | "
+                    f"{_vs(s, 'avg_ratio', ref_ratio, 3):>32} | {'PASS' if ok else 'FAIL'}")
+    header = (f"{'variant':>14} | {'success':>32} | {'iterations':>34} | "
+              f"{'ratio':>32} | verdict")
     rows.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
     print("\n".join([header, "-" * len(header), *rows]))
     return EXIT_OK if all_ok else EXIT_VERDICT_FAIL

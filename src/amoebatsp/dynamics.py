@@ -140,10 +140,6 @@ class SigmoidParams:
     gamma: float
     theta: float
 
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
 
 OUTER_SIGMOID = SigmoidParams(gamma=1000.0, theta=-0.5)
 INNER_SIGMOID = SigmoidParams(gamma=35.0, theta=0.6)

@@ -189,6 +189,16 @@ def aggregate(results: list[TrialResult], variant_name: str, n: int) -> Aggregat
     )
 
 
+def standard_error(stats: AggregateStats, field: str) -> float | None:
+    """Standard error of a batch mean: of success_rate over all trials, of
+    avg_iterations or avg_ratio over the solved trials (None below two)."""
+    if field == "success_rate":
+        p = stats.success_rate
+        return math.sqrt(p * (1.0 - p) / stats.trials)
+    std = getattr(stats, field.replace("avg_", "std_"))
+    return None if std is None else std / math.sqrt(round(stats.success_rate * stats.trials))
+
+
 def fit_scaling(stats: list[AggregateStats]) -> ScalingFit:
     """Least squares on (ln n, ln mean iterations); needs 3+ distinct solved
     sizes, each with a finite positive n and mean."""

@@ -9,15 +9,12 @@ penalties always dominate any two-edge path cost.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-BRUTE_FORCE_MAX_N = 10
 
 # Penalty weights of revisiting a city (LAM) and of visiting two cities at
 # one step (MU): the fixed Hopfield-Tank constants of the model.
@@ -126,19 +123,18 @@ def max_two_edge_path(inst: TspInstance) -> float:
 
     Equivalent to taking, per middle city b, the two largest entries of its
     row: with n >= 3 and positive off-diagonal distances, the zero diagonal
-    never ranks among them.
+    never ranks among them. A sum beyond the float range is inf, silently.
     """
-    return float(np.partition(inst.dist, -2, axis=1)[:, -2:].sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        return float(np.partition(inst.dist, -2, axis=1)[:, -2:].sum(axis=1).max())
 
 
 def round_down_sigfigs(x: float, figs: int = 3) -> float:
-    """Round a positive value down to the given significant figures.
+    """Round a positive finite value down to the given significant figures.
 
     Ratios within 1e-9 of an integer count as that integer, so values that
     are exact up to float representation (0.0025 -> 250e-5) survive intact.
     """
-    if x <= 0:
-        raise ValueError("expected a positive value")
     exp = math.floor(math.log10(x))
     scale = 10.0 ** (exp - figs + 1)
     ratio = x / scale
@@ -151,34 +147,24 @@ def round_down_sigfigs(x: float, figs: int = 3) -> float:
 def compute_nu(inst: TspInstance) -> float:
     """Distance-cost weight: min(LAM, MU) over the worst two-edge path.
 
-    Rounded down to 3 significant figures, so the calibration inequality
-    still holds after rounding.
+    Rounded down to 3 significant figures. Where that rounding lands above
+    the exact quotient (250 * 1e-9 is 2.5000000000000004e-07), nu steps
+    down by ulps until the calibration inequality holds. Distances whose
+    quotient is zero or infinite cannot be calibrated and are refused.
     """
-    return round_down_sigfigs(min(LAM, MU) / max_two_edge_path(inst), 3)
-
-
-def cost_weight(v: int, k: int, u: int, l: int, params: ParamSet, inst: TspInstance) -> float:
-    """Coupling weight between lanes (v, k) and (u, l); all indices 0-based.
-
-    Same city at two steps costs LAM; two cities at one step costs MU;
-    consecutive steps (cyclically, including the closing edge) cost
-    nu * distance; everything else is free.
-    """
-    n = inst.n
-    for idx in (v, k, u, l):
-        if not 0 <= idx < n:
-            raise IndexError(f"lane index {idx} out of range for n={n}")
-    if v == u and k != l:
-        return -LAM
-    if v != u and k == l:
-        return -MU
-    if v != u and (abs(k - l) == 1 or (k == n - 1 and l == 0) or (k == 0 and l == n - 1)):
-        return -params.nu * float(inst.dist[v, u])
-    return 0.0
+    limit, path = min(LAM, MU), max_two_edge_path(inst)
+    if not 0 < limit / path < math.inf:
+        raise InvalidInstanceError(
+            f"distances are too small or too large to calibrate nu (longest two-edge path {path})")
+    nu = round_down_sigfigs(limit / path, 3)
+    while nu * path > limit:
+        nu = float(np.nextafter(nu, 0.0))
+    return nu
 
 
 def coupling_field(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.ndarray:
-    """Per lane (v, k), the sum over (u, l) of cost_weight(v, k, u, l) * y[u, l].
+    """Per lane (v, k), the sum over (u, l) of cost_weight(v, k, u, l) * y[u, l],
+    with cost_weight the literal per-pair oracle in tests/oracles.py.
 
     Row and column conflicts exclude the lane itself; the distance term
     couples cyclically adjacent steps, and the zero diagonal of dist drops
@@ -190,13 +176,6 @@ def coupling_field(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.nda
     return -(LAM * (row_sums - y)
              + MU * (col_sums - y)
              + params.nu * (inst.dist @ adjacent))
-
-
-def cost_function(x_bin: np.ndarray, params: ParamSet, inst: TspInstance) -> float:
-    """Quadratic assignment cost -(1/2) y . coupling_field(y): for a binary
-    state, minus half the summed weights over pairs of active lanes."""
-    y = np.asarray(x_bin, dtype=float)
-    return -0.5 * float((y * coupling_field(y, params, inst)).sum())
 
 
 def decode_solution(x: np.ndarray) -> DecodedSolution:
@@ -220,35 +199,6 @@ def route_length(tour, inst: TspInstance) -> float:
     if sorted(tour) != list(range(inst.n)):
         raise ValueError("tour must be a permutation of all cities")
     return float(sum(inst.dist[tour[k], tour[(k + 1) % inst.n]] for k in range(inst.n)))
-
-
-def estimated_route_length(n: int) -> float:
-    """Mean random-tour length estimate for generated maps: 100 * n."""
-    if n < 3:
-        raise InvalidInstanceError(f"need at least 3 cities, got n={n}")
-    return 100.0 * n
-
-
-def brute_force_optimum(inst: TspInstance) -> tuple[tuple[int, ...], float]:
-    """Exhaustively shortest tour; refused above n=10.
-
-    City 0 is fixed as the start and reversed duplicates are skipped, so
-    (n-1)!/2 candidates are scanned. Ties resolve to the lexicographically
-    first tour.
-    """
-    if inst.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force refused for n={inst.n} > {BRUTE_FORCE_MAX_N}")
-    best_tour = None
-    best_len = math.inf
-    for rest in itertools.permutations(range(1, inst.n)):
-        if rest[0] > rest[-1]:
-            continue
-        tour = (0,) + rest
-        length = route_length(tour, inst)
-        if length < best_len:
-            best_len = length
-            best_tour = tour
-    return best_tour, best_len
 
 
 def save_map(inst: TspInstance, path) -> None:

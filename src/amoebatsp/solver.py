@@ -8,14 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmoebaState, StepDiagnostics, VariantConfig, step
-from .instance import (
-    ConfigurationError,
-    ParamSet,
-    TspInstance,
-    decode_solution,
-    estimated_route_length,
-    route_length,
-)
+from .instance import ConfigurationError, ParamSet, TspInstance, decode_solution, route_length
 
 DEFAULT_MAX_ITERS = 3000
 
@@ -41,7 +34,8 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
     Every lane starts at init_level, by default initial_level(inst.n).
     Refuses to run with an uncalibrated nu (constraint penalties must
     dominate any two-edge path cost). Termination is checked after every
-    full step. Deterministic for fixed inputs.
+    full step. The ratio is the route length over 100 * n, the mean
+    random-tour length of generated maps. Deterministic for fixed inputs.
     """
     if not params.is_calibrated(inst):
         raise ConfigurationError(
@@ -50,7 +44,7 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
         raise ConfigurationError("max_iters must be at least 1")
     if init_level is not None and not math.isfinite(init_level):
         raise ConfigurationError("init_level must be finite")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     state = AmoebaState.initial(inst.n, level=init_level)
     diags: list[StepDiagnostics] | None = [] if trace else None
     for _ in range(max_iters):
@@ -63,7 +57,7 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
                 iterations=state.t,
                 tour=tour,
                 r_calc=r_calc,
-                ratio=r_calc / estimated_route_length(inst.n),
+                ratio=r_calc / (100.0 * inst.n),
                 trace=diags,
                 final_x=state.x,
             )

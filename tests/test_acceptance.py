@@ -20,8 +20,6 @@ from amoebatsp import (
     ElementA,
     ParamSet,
     VariantConfig,
-    brute_force_optimum,
-    cost_function,
     fit_scaling,
     generate_map,
     preset,
@@ -30,7 +28,8 @@ from amoebatsp import (
     run_trial,
     step,
 )
-from amoebatsp.harness import REFERENCE_IMPROVED_SWEEP
+from amoebatsp.harness import REFERENCE_IMPROVED_SWEEP, standard_error
+from oracles import brute_force_optimum, cost_function
 
 GLOBAL_SEED = 0
 WORKERS = 2
@@ -47,14 +46,9 @@ def within(value, center, rel):
 
 
 def sem(s, field):
-    """Standard error of a batch mean: iterations or ratio over the solved
-    trials, success rate over all trials."""
-    if field == "success_rate":
-        p = s.success_rate
-        return math.sqrt(p * (1.0 - p) / s.trials)
-    std = getattr(s, field.replace("avg_", "std_"))
-    solved = round(s.success_rate * s.trials)
-    return std / math.sqrt(solved) if std is not None else float("nan")
+    """harness.standard_error, nan where fewer than two trials solved."""
+    se = standard_error(s, field)
+    return math.nan if se is None else se
 
 
 def gap(value, se, ref, digits):

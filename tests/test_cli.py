@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from amoebatsp import ParamSet, load_map, preset, run_trial
+from amoebatsp import ParamSet, load_map, preset, run_batch, run_trial
 from amoebatsp.cli import EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL, main
+from amoebatsp.harness import standard_error
 
 
 def run_cli(argv):
@@ -101,6 +102,20 @@ class TestSolve:
     def test_missing_map_is_config_error(self, tmp_path):
         code = run_cli(["solve", "--map", str(tmp_path / "nope.json")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("d, codes", [
+        (1e6, (EXIT_OK, EXIT_NO_SOLUTION)),  # nu's 3-figure rounding lands an ulp high
+        (1e-320, (EXIT_USAGE,)),  # the two-edge path is subnormal
+        (1e308, (EXIT_USAGE,)),  # the two-edge path overflows
+    ])
+    def test_uniform_map_at_extreme_scale(self, d, codes, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 4, "dist": [0.0 if i % 5 == 0 else d for i in range(16)]}))
+        code = run_cli(["solve", "--map", str(path), "--preset", "improved", "--max-iters", "300"])
+        assert code in codes
+        if code == EXIT_USAGE:
+            assert "error: distances are too small or too large to calibrate nu" in \
+                capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", ["nan", "inf"])
@@ -342,6 +357,17 @@ class TestReproduce:
         overall = out.splitlines()[-1]
         assert overall in ("overall: PASS", "overall: FAIL")
         assert code == (EXIT_OK if overall == "overall: PASS" else EXIT_VERDICT_FAIL)
+
+    def test_row_shows_standard_errors_and_gaps(self, capsys):
+        code = run_cli(["reproduce", "--table", "5", "--n-list", "10", "--trials", "4"])
+        row = capsys.readouterr().out.splitlines()[2]
+        s = run_batch(10, 4, preset("improved"), global_seed=0)
+        se = standard_error(s, "avg_iterations")
+        assert row.startswith(" improved n=10 | ")
+        assert (f"{s.avg_iterations:.1f} +-{se:.1f} "
+                f"({(s.avg_iterations - 199.5) / se:+.1f} SE) vs 199.5") in row
+        assert f"+-{standard_error(s, 'avg_ratio'):.3f} (" in row
+        assert row.endswith("| PASS" if code == EXIT_OK else "| FAIL")
 
     @pytest.mark.parametrize("argv, message", [
         (["--table", "2", "--n-list", "10,50"], "error: --n-list applies only to table 5"),

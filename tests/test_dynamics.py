@@ -17,7 +17,6 @@ from amoebatsp import (
     compute_I_and_S,
     compute_L,
     compute_O,
-    cost_weight,
     generate_map,
     preset,
     sample_fluctuations,
@@ -25,6 +24,7 @@ from amoebatsp import (
     step,
 )
 from amoebatsp.dynamics import CONTRACTION_SIGMOID, DELTA_IN, INNER_SIGMOID, OUTER_SIGMOID
+from oracles import cost_weight
 
 ORIGINAL = VariantConfig()
 NOISELESS = VariantConfig(element_a=ElementA.ZERO)

@@ -16,13 +16,9 @@ from amoebatsp import (
     InvalidInstanceError,
     ParamSet,
     TspInstance,
-    brute_force_optimum,
     compute_nu,
-    cost_function,
-    cost_weight,
     coupling_field,
     decode_solution,
-    estimated_route_length,
     generate_map,
     load_map,
     route_length,
@@ -30,6 +26,7 @@ from amoebatsp import (
 )
 from amoebatsp import instance
 from amoebatsp.instance import max_two_edge_path, round_down_sigfigs
+from oracles import brute_force_optimum, cost_function, cost_weight
 
 
 def uniform_instance(n, d=100.0):
@@ -94,12 +91,21 @@ class TestComputeNu:
         nu = compute_nu(generate_map(20, seed=1))
         assert 1e-3 <= nu <= 2e-3
 
-    def test_calibration_inequality_holds(self):
-        for n in (5, 10, 20):
-            for seed in range(100 // 3):
-                inst = generate_map(n, seed=seed)
-                nu = compute_nu(inst)
-                assert nu * max_two_edge_path(inst) <= min(0.5, 0.5) + 1e-15
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 6), k=st.integers(-323, 308), data=st.data())
+    def test_calibration_inequality_holds(self, n, k, data):
+        # maps at every decimal scale a float reaches, from subnormal to
+        # overflowing: each is refused with InvalidInstanceError or calibrated
+        upper = data.draw(arrays(float, n * (n - 1) // 2,
+                                 elements=st.floats(1.0, 10.0, exclude_max=True)))
+        dist = np.zeros((n, n))
+        dist[np.triu_indices(n, 1)] = upper * 10.0 ** k
+        try:
+            inst = TspInstance(n=n, dist=dist + dist.T)
+            p = ParamSet.for_instance(inst)
+        except InvalidInstanceError:
+            return
+        assert p.is_calibrated(inst)
 
     def test_rounding_close_to_exact(self):
         for seed in range(10):
@@ -290,12 +296,6 @@ class TestRouteLength:
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             route_length((0, 1, 1), uniform_instance(3))
-
-
-class TestEstimatedRouteLength:
-    @pytest.mark.parametrize("n,expected", [(20, 2000.0), (10, 1000.0), (3, 300.0)])
-    def test_values(self, n, expected):
-        assert estimated_route_length(n) == expected
 
 
 class TestBruteForce:
