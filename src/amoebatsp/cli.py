@@ -31,7 +31,7 @@ from .harness import (
     write_plot_data,
     write_results_csv,
 )
-from .instance import ConfigurationError, InvalidInstanceError, ParamSet, generate_map, load_map, save_map
+from .instance import ParamSet, generate_map, load_map, save_map
 from .solver import DEFAULT_MAX_ITERS, run_trial
 
 EXIT_OK = 0
@@ -47,20 +47,22 @@ ELEMENT_FIELDS = {"element_a": ElementA, "element_b": ElementB, "i_scale": float
 
 
 class _Parser(argparse.ArgumentParser):
+    """A syntax error prints the failing command's usage above its error line."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _variant(parser, args) -> tuple[str, VariantConfig]:
+def _variant(args) -> tuple[str, VariantConfig]:
     """Variant name and configuration from --preset or the element flags."""
     given = {key: convert(getattr(args, key)) for key, convert in ELEMENT_FIELDS.items()
              if getattr(args, key) is not None}
     if args.preset is None:
         return "custom", VariantConfig(**given)
     if given:
-        parser.error("--preset and explicit element flags are mutually exclusive")
+        raise ValueError("--preset and explicit element flags are mutually exclusive")
     return args.preset, preset(args.preset)
 
 
@@ -96,6 +98,25 @@ def _tolerance(text):
     return value
 
 
+def _seed(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer: {text!r}")
+    return value
+
+
+def _check_out_dirs(args, *keys):
+    """Refuse, before any trial runs, an output file whose directory is missing."""
+    for key in keys:
+        path = getattr(args, key)
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"argument --{key.replace('_', '-')}: "
+                             f"directory {Path(path).parent} does not exist")
+
+
 def _with_config(parser, argv, args):
     """Parse argv again with the JSON run-config's entries appended as flags.
 
@@ -105,12 +126,15 @@ def _with_config(parser, argv, args):
     other list becomes one comma-separated value. A value, or the entries of
     a list, must be JSON strings exactly when the flag's parsed value is text.
     """
-    data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"malformed config file {args.config}: {exc}") from None
     if not isinstance(data, dict):
-        parser.error("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     bad = [key for key in data if key in ("command", "config", "run") or key not in vars(args)]
     if bad:
-        parser.error(f"config keys with no flag on {args.command}: {bad}")
+        raise ValueError(f"config keys with no flag on {args.command}: {bad}")
     tokens = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")
@@ -124,8 +148,8 @@ def _with_config(parser, argv, args):
     for key, value in data.items():
         wants_text = _holds_text(getattr(args, key))
         if value != [] and _holds_text(value) != wants_text:  # [] adds no flag
-            parser.error(f"config key {key!r}: expected {'text' if wants_text else 'numbers'}, "
-                         f"got {value!r}")
+            raise ValueError(f"config key {key!r}: expected {'text' if wants_text else 'numbers'}, "
+                             f"got {value!r}")
     return args
 
 
@@ -145,15 +169,16 @@ def _add_init_level_flag(parser):
                              "0.435 at n=20)")
 
 
-def cmd_gen_map(args, parser) -> int:
+def cmd_gen_map(args) -> int:
     inst = generate_map(args.n, args.seed, mean=args.mean, sd=args.sd)
     save_map(inst, args.out)
     print(f"wrote {args.out}: n={inst.n}, {inst.n * inst.n} matrix entries")
     return EXIT_OK
 
 
-def cmd_solve(args, parser) -> int:
-    _, cfg = _variant(parser, args)
+def cmd_solve(args) -> int:
+    _, cfg = _variant(args)
+    _check_out_dirs(args, "trace")
     inst = load_map(args.map)
     params = ParamSet.for_instance(inst)
     result = run_trial(inst, params, cfg, seed=args.seed, max_iters=args.max_iters,
@@ -173,10 +198,11 @@ def cmd_solve(args, parser) -> int:
     return EXIT_NO_SOLUTION
 
 
-def cmd_batch(args, parser) -> int:
+def cmd_batch(args) -> int:
     if args.n is None:
-        parser.error("--n is required")
-    name, cfg = _variant(parser, args)
+        raise ValueError("--n is required")
+    name, cfg = _variant(args)
+    _check_out_dirs(args, "out")
     stats = run_batch(args.n, args.trials, cfg, global_seed=args.global_seed,
                       max_iters=args.max_iters, map_policy=args.map_policy,
                       map_seed=args.map_seed, init_level=args.init_level,
@@ -189,12 +215,13 @@ def cmd_batch(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args) -> int:
     if not args.n_list:
-        parser.error("--n-list must name at least one city count")
+        raise ValueError("--n-list must name at least one city count")
     if (args.plot_iters is None) != (args.plot_ratio is None):
-        parser.error("--plot-iters and --plot-ratio must be given together")
-    name, cfg = _variant(parser, args)
+        raise ValueError("--plot-iters and --plot-ratio must be given together")
+    name, cfg = _variant(args)
+    _check_out_dirs(args, "out", "plot_iters", "plot_ratio")
     stats = [run_batch(n, args.trials, cfg, global_seed=args.global_seed,
                        max_iters=args.max_iters, map_policy=args.map_policy,
                        map_seed=args.map_seed, init_level=args.init_level,
@@ -210,12 +237,8 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_fit_scaling(args, parser) -> int:
-    stats = read_results_csv(args.results)
-    try:
-        fit = fit_scaling(stats)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_fit_scaling(args) -> int:
+    fit = fit_scaling(read_results_csv(args.results))
     write_fit_json(fit, args.out)
     print(f"exponent={fit.exponent:.4f} prefactor={fit.prefactor:.3f} "
           f"r_squared={fit.r_squared:.5f}")
@@ -243,20 +266,20 @@ def _near(value, ref, tol) -> bool:
     return ref is None or (value is not None and abs(value - ref) <= tol)
 
 
-def cmd_reproduce(args, parser) -> int:
+def cmd_reproduce(args) -> int:
     """Re-run a reference table's rows and compare side by side; each mean
     shows its standard error and its gap to the reference in SE."""
     if args.table == "5":
         n_list = [10, 20, 50, 100] if args.n_list is None else args.n_list
         if not n_list:
-            parser.error("--n-list must name at least one city count")
+            raise ValueError("--n-list must name at least one city count")
         for n in n_list:
             if n not in REFERENCE_IMPROVED_SWEEP:
-                parser.error(f"no reference row for n={n}")
+                raise ValueError(f"no reference row for n={n}")
         plan = [(f"improved n={n}", "improved", n, REFERENCE_IMPROVED_SWEEP[n]) for n in n_list]
     else:
         if args.n_list is not None:
-            parser.error("--n-list applies only to table 5")
+            raise ValueError("--n-list applies only to table 5")
         plan = [(name, name, 20, REFERENCE_N20[name]) for name in REFERENCE_TABLES[args.table]]
     rows = []
     all_ok = True
@@ -285,7 +308,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-map", help="generate a random map file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--mean", type=float, default=100.0)
     p.add_argument("--sd", type=float, default=17.0)
     p.add_argument("--out", required=True)
@@ -294,7 +317,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run one search on a map file")
     p.add_argument("--map", required=True)
     _add_variant_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_run_flags(p)
     p.add_argument("--trace", default=None, help="write per-step trace CSV here")
     p.set_defaults(run=cmd_solve)
@@ -313,11 +336,11 @@ def build_parser() -> _Parser:
             p.add_argument("--plot-ratio", dest="plot_ratio", default=None)
         _add_variant_flags(p)
         p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--global-seed", dest="global_seed", type=int, default=0)
+        p.add_argument("--global-seed", dest="global_seed", type=_seed, default=0)
         _add_run_flags(p)
         p.add_argument("--map-policy", dest="map_policy", choices=["fresh", "fixed"],
                        default="fresh")
-        p.add_argument("--map-seed", dest="map_seed", type=int, default=None)
+        p.add_argument("--map-seed", dest="map_seed", type=_seed, default=None)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", required=True)
 
@@ -329,7 +352,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="re-run a reference table and compare")
     p.add_argument("--table", choices=["2", "3", "4", "5"], required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--global-seed", dest="global_seed", type=int, default=0)
+    p.add_argument("--global-seed", dest="global_seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_init_level_flag(p)
     p.add_argument("--n-list", dest="n_list", type=_n_list, default=None,
@@ -351,8 +374,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None):
             args = _with_config(parser, argv, args)
-        return args.run(args, parser)
-    except (InvalidInstanceError, ConfigurationError, ValueError, OSError, json.JSONDecodeError) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -207,15 +207,16 @@ def compute_I_and_S(total_o: float, s_prev: float, l_off: int, n: int,
     The inflow is the hub leak plus the total contraction total_o plus the
     previous stock; ZERO_DELTA_IN drops the hub leak. While any lane is
     off, the inflow is shared equally (denominator L_off, or n under
-    DENOM_N), each share scaled by i_scale under SCALE_I, and the stock
-    empties. With every lane lit, the whole unscaled inflow is stocked.
+    DENOM_N), each share scaled by i_scale (1 outside SCALE_I, which
+    VariantConfig enforces), and the stock empties. With every lane lit,
+    the whole unscaled inflow is stocked.
     """
     delta_in = 0.0 if cfg.element_b is ElementB.ZERO_DELTA_IN else DELTA_IN
     inflow = delta_in + total_o + s_prev
     if l_off == 0:
         return 0.0, inflow
     share = inflow / (n if cfg.element_b is ElementB.DENOM_N else l_off)
-    return (cfg.i_scale * share if cfg.element_b is ElementB.SCALE_I else share), 0.0
+    return cfg.i_scale * share, 0.0
 
 
 def sample_fluctuations(cfg: VariantConfig, n: int, rng: np.random.Generator) -> np.ndarray:

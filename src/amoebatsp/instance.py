@@ -49,7 +49,7 @@ class TspInstance:
     def __post_init__(self):
         if self.n < 3:
             raise InvalidInstanceError(f"need at least 3 cities, got n={self.n}")
-        d = np.asarray(self.dist, dtype=float)
+        d = np.array(self.dist, dtype=float)
         if d.shape != (self.n, self.n):
             raise InvalidInstanceError(f"distance matrix shape {d.shape} != ({self.n}, {self.n})")
         if not np.isfinite(d).all():
@@ -61,7 +61,6 @@ class TspInstance:
         off = d[~np.eye(self.n, dtype=bool)]
         if not (off > 0).all():
             raise InvalidInstanceError("off-diagonal distances must be positive")
-        d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
 
@@ -228,8 +227,8 @@ def _json_number(value, key: str) -> float:
 
 def load_map(path) -> TspInstance:
     """Read a map written by save_map."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
         n = _json_int(data["n"], "n")
         dist = data["dist"]
         flat = [_json_number(d, "each dist entry") for d in dist] if isinstance(dist, list) else []
@@ -238,9 +237,9 @@ def load_map(path) -> TspInstance:
                         mean=_json_number(gen["mean"], "gen.mean"),
                         sd=_json_number(gen["sd"], "gen.sd")) if gen else None)
     except KeyError as exc:
-        raise InvalidInstanceError(f"malformed map file: missing key {exc}") from exc
+        raise InvalidInstanceError(f"malformed map file {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InvalidInstanceError(f"malformed map file: {exc}") from exc
+        raise InvalidInstanceError(f"malformed map file {path}: {exc}") from exc
     if n < 3:
         raise InvalidInstanceError(f"need at least 3 cities, got n={n}")
     if len(flat) != n * n:

@@ -131,6 +131,80 @@ def test_nonfinite_init_level_rejected(map10, tmp_path, capsys, command, level):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, files, message", [
+    (["batch", "--out", "{tmp}/r.csv"], {}, "--n is required"),
+    (["sweep", "--n-list", "8", "--out", "{tmp}/s.csv", "--plot-iters", "{tmp}/i.csv"], {},
+     "--plot-iters and --plot-ratio must be given together"),
+    (["batch", "--n", "10", "--preset", "improved", "--element-a", "normal", "--out", "{tmp}/r.csv"],
+     {}, "--preset and explicit element flags are mutually exclusive"),
+    (["batch", "--config", "{tmp}/run.json", "--out", "{tmp}/r.csv"], {"run.json": "[10]"},
+     "config must be a JSON object"),
+    (["batch", "--config", "{tmp}/run.json", "--out", "{tmp}/r.csv"],
+     {"run.json": '{"n": 10, "typo_key": 1}'}, "config keys with no flag on batch: ['typo_key']"),
+    (["reproduce", "--table", "5", "--n-list", "25"], {}, "no reference row for n=25"),
+    (["fit-scaling", "--results", "{tmp}/r.csv", "--out", "{tmp}/f.json"],
+     {"r.csv": "variant,n,trials,success_rate,avg_iterations,std_iterations,avg_ratio,std_ratio\n"
+               "x,10,5,1.0,100.0,,0.9,\n"},
+     "scaling fit needs at least 3 distinct sizes with successes"),
+], ids=["n-missing", "plot-iters-alone", "preset-and-element", "config-not-object",
+        "config-unknown-key", "no-reference-row", "unfittable-csv"])
+def test_semantic_error_is_one_line(tmp_path, capsys, monkeypatch, argv, files, message):
+    # no usage line: it would show the top-level parser, not the failing command
+    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("batch", "--out"), ("sweep", "--out"), ("sweep", "--plot-iters"), ("sweep", "--plot-ratio"),
+    ("solve", "--trace"),
+])
+def test_missing_output_directory_rejected_before_any_trial(map10, tmp_path, capsys,
+                                                            monkeypatch, command, flag):
+    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+    monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
+    argv = {"batch": ["batch", "--n", "10", "--trials", "2"],
+            "sweep": ["sweep", "--n-list", "8", "--trials", "2"],
+            "solve": ["solve", "--map", str(map10)]}[command]
+    outputs = {"batch": ["--out"], "sweep": ["--out", "--plot-iters", "--plot-ratio"],
+               "solve": ["--trace"]}[command]
+    missing = tmp_path / "no-such-dir"
+    for out in outputs:
+        argv = [*argv, out, str((missing if out == flag else tmp_path) / f"{out[2:]}.csv")]
+    assert run_cli(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: argument {flag}: directory {missing} does not exist\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-map", "--n", "5", "--seed=-3"], "--seed"),
+    (["batch", "--n", "10", "--global-seed=-3"], "--global-seed"),
+    (["batch", "--n", "10", "--map-policy", "fixed", "--map-seed=-3"], "--map-seed"),
+    (["batch", "--config", "{tmp}/run.json"], "--global-seed"),
+], ids=["seed", "global-seed", "map-seed", "global-seed-config"])
+def test_negative_seed_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+    (tmp_path / "run.json").write_text('{"n": 10, "global_seed": -3}')
+    out = tmp_path / "out"
+    assert run_cli([*(arg.format(tmp=tmp_path) for arg in argv), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"\nerror: argument {flag}: seed must be a non-negative integer: '-3'\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("command, kind", [("solve", "map"), ("batch", "config")])
+def test_unreadable_json_names_its_file(tmp_path, capsys, command, kind, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {"solve": ["solve", "--map", str(bad)],
+            "batch": ["batch", "--config", str(bad), "--out", str(tmp_path / "r.csv")]}[command]
+    assert run_cli(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {kind} file {bad}: ") and err.count("\n") == 1
+
+
 class TestBatchSweepFit:
     def test_batch_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
