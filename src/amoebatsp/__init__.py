@@ -27,10 +27,8 @@ from .harness import (
     run_batch,
 )
 from .instance import (
-    ConfigurationError,
     DecodedSolution,
     GenMeta,
-    InvalidInstanceError,
     ParamSet,
     TspInstance,
     compute_nu,
@@ -46,12 +44,11 @@ from .solver import DEFAULT_MAX_ITERS, TrialResult, run_trial
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateStats", "AmoebaState", "ConfigurationError", "DecodedSolution",
-    "DEFAULT_INIT_LEVEL", "DEFAULT_MAX_ITERS", "ElementA", "ElementB", "ElementC",
-    "GenMeta", "InvalidInstanceError", "ParamSet", "ScalingFit", "SigmoidParams",
-    "StepDiagnostics", "TrialResult", "TspInstance", "VariantConfig", "aggregate",
-    "compute_I_and_S", "compute_L", "compute_O", "compute_nu", "coupling_field",
-    "decode_solution", "fit_scaling", "generate_map", "initial_level", "load_map", "preset",
-    "route_length", "run_batch", "run_trial", "sample_fluctuations", "save_map", "sigmoid",
-    "step",
+    "AggregateStats", "AmoebaState", "DecodedSolution", "DEFAULT_INIT_LEVEL",
+    "DEFAULT_MAX_ITERS", "ElementA", "ElementB", "ElementC", "GenMeta", "ParamSet",
+    "ScalingFit", "SigmoidParams", "StepDiagnostics", "TrialResult", "TspInstance",
+    "VariantConfig", "aggregate", "compute_I_and_S", "compute_L", "compute_O", "compute_nu",
+    "coupling_field", "decode_solution", "fit_scaling", "generate_map", "initial_level",
+    "load_map", "preset", "route_length", "run_batch", "run_trial", "sample_fluctuations",
+    "save_map", "sigmoid", "step",
 ]

@@ -88,33 +88,36 @@ def _n_list(text):
     return sizes
 
 
-def _tolerance(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative: {text!r}")
-    return value
+def _nonnegative(parse, message):
+    """Argparse type: parse(text) when it is a finite number >= 0. The bound is
+    a comparison, so an int too large for a float (a 400-digit seed) passes."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{message}: {text!r}")
+        return value
+    return convert
 
 
-def _seed(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer: {text!r}")
-    return value
+_tolerance = _nonnegative(float, "tolerance must be finite and nonnegative")
+_seed = _nonnegative(int, "seed must be a non-negative integer")
 
 
-def _check_out_dirs(args, *keys):
-    """Refuse, before any trial runs, an output file whose directory is missing."""
-    for key in keys:
-        path = getattr(args, key)
-        if path is not None and not Path(path).parent.is_dir():
-            raise ValueError(f"argument --{key.replace('_', '-')}: "
-                             f"directory {Path(path).parent} does not exist")
+def _check_out_dirs(args):
+    """Refuse, before any trial runs, an output file whose directory is
+    missing or which is itself a directory."""
+    for key in ("out", "trace", "plot_iters", "plot_ratio"):
+        path = getattr(args, key, None)
+        if path is None:
+            continue
+        path, flag = Path(path), f"argument --{key.replace('_', '-')}"
+        if path.is_dir():
+            raise ValueError(f"{flag}: {path} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag}: directory {path.parent} does not exist")
 
 
 def _with_config(parser, argv, args):
@@ -178,7 +181,6 @@ def cmd_gen_map(args) -> int:
 
 def cmd_solve(args) -> int:
     _, cfg = _variant(args)
-    _check_out_dirs(args, "trace")
     inst = load_map(args.map)
     params = ParamSet.for_instance(inst)
     result = run_trial(inst, params, cfg, seed=args.seed, max_iters=args.max_iters,
@@ -198,20 +200,25 @@ def cmd_solve(args) -> int:
     return EXIT_NO_SOLUTION
 
 
+def _run_batches(args, sizes) -> list:
+    """One batch per city count, written to --out with one summary line each."""
+    name, cfg = _variant(args)
+    stats = [run_batch(n, args.trials, cfg, global_seed=args.global_seed,
+                       max_iters=args.max_iters, map_policy=args.map_policy,
+                       map_seed=args.map_seed, init_level=args.init_level,
+                       workers=args.workers, variant_name=name) for n in sizes]
+    write_results_csv(stats, args.out)
+    for s in stats:
+        print(f"{name} n={s.n} trials={s.trials}: success_rate={s.success_rate:.3f} "
+              f"avg_iterations={_fmt(s.avg_iterations)} avg_ratio={_fmt(s.avg_ratio, 4)}")
+    print(f"results written to {args.out}")
+    return stats
+
+
 def cmd_batch(args) -> int:
     if args.n is None:
         raise ValueError("--n is required")
-    name, cfg = _variant(args)
-    _check_out_dirs(args, "out")
-    stats = run_batch(args.n, args.trials, cfg, global_seed=args.global_seed,
-                      max_iters=args.max_iters, map_policy=args.map_policy,
-                      map_seed=args.map_seed, init_level=args.init_level,
-                      workers=args.workers, variant_name=name)
-    write_results_csv([stats], args.out)
-    print(f"{name} n={stats.n} trials={stats.trials}: "
-          f"success_rate={stats.success_rate:.3f} "
-          f"avg_iterations={_fmt(stats.avg_iterations)} avg_ratio={_fmt(stats.avg_ratio, 4)}")
-    print(f"results written to {args.out}")
+    _run_batches(args, [args.n])
     return EXIT_OK
 
 
@@ -220,20 +227,10 @@ def cmd_sweep(args) -> int:
         raise ValueError("--n-list must name at least one city count")
     if (args.plot_iters is None) != (args.plot_ratio is None):
         raise ValueError("--plot-iters and --plot-ratio must be given together")
-    name, cfg = _variant(args)
-    _check_out_dirs(args, "out", "plot_iters", "plot_ratio")
-    stats = [run_batch(n, args.trials, cfg, global_seed=args.global_seed,
-                       max_iters=args.max_iters, map_policy=args.map_policy,
-                       map_seed=args.map_seed, init_level=args.init_level,
-                       workers=args.workers, variant_name=name) for n in args.n_list]
-    write_results_csv(stats, args.out)
-    for s in stats:
-        print(f"n={s.n}: success_rate={s.success_rate:.3f} "
-              f"avg_iterations={_fmt(s.avg_iterations)} avg_ratio={_fmt(s.avg_ratio, 4)}")
+    stats = _run_batches(args, args.n_list)
     if args.plot_iters is not None:
         write_plot_data(stats, args.plot_iters, args.plot_ratio)
         print(f"plot data written to {args.plot_iters}, {args.plot_ratio}")
-    print(f"results written to {args.out}")
     return EXIT_OK
 
 
@@ -374,6 +371,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None):
             args = _with_config(parser, argv, args)
+        _check_out_dirs(args)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -267,14 +267,13 @@ def write_fit_json(fit: ScalingFit, path) -> None:
 
 
 def write_plot_data(stats: list[AggregateStats], iters_path, ratio_path) -> None:
-    """Plot-ready CSVs: iteration scaling with a sqrt-n reference curve,
-    and ratio against the 0.9 reference line."""
+    """Plot-ready CSVs, one row per solved size: iteration scaling with a
+    sqrt-n reference curve, and ratio against the 0.9 reference line."""
     points = [(s.n, s.avg_iterations, s.avg_ratio) for s in stats
               if s.avg_iterations is not None]
-    if not points:
-        raise ValueError("no successful sizes to plot")
     # sqrt-n curve fitted with the exponent pinned at 1/2
-    c = float(np.exp(np.mean([np.log(it) - 0.5 * np.log(n) for n, it, _ in points])))
+    logs = [np.log(it) - 0.5 * np.log(n) for n, it, _ in points]
+    c = float(np.exp(np.mean(logs))) if logs else None
     write_csv(iters_path, ["n", "avg_iterations", "sqrt_n_fit"],
               ((n, it, c * np.sqrt(n)) for n, it, _ in points))
     write_csv(ratio_path, ["n", "avg_ratio", "reference_0.9"],

@@ -21,14 +21,6 @@ import numpy as np
 LAM = MU = 0.5
 
 
-class InvalidInstanceError(ValueError):
-    """Raised for maps that violate the instance contract."""
-
-
-class ConfigurationError(ValueError):
-    """Raised when parameters are unusable, e.g. an uncalibrated nu."""
-
-
 @dataclass(frozen=True)
 class GenMeta:
     """Generation record kept with a map so files are self-describing."""
@@ -48,19 +40,19 @@ class TspInstance:
 
     def __post_init__(self):
         if self.n < 3:
-            raise InvalidInstanceError(f"need at least 3 cities, got n={self.n}")
+            raise ValueError(f"need at least 3 cities, got n={self.n}")
         d = np.array(self.dist, dtype=float)
         if d.shape != (self.n, self.n):
-            raise InvalidInstanceError(f"distance matrix shape {d.shape} != ({self.n}, {self.n})")
+            raise ValueError(f"distance matrix shape {d.shape} != ({self.n}, {self.n})")
         if not np.isfinite(d).all():
-            raise InvalidInstanceError("distances must be finite")
+            raise ValueError("distances must be finite")
         if not np.array_equal(d, d.T):
-            raise InvalidInstanceError("distance matrix must be symmetric")
+            raise ValueError("distance matrix must be symmetric")
         if np.diagonal(d).any():
-            raise InvalidInstanceError("diagonal must be zero")
+            raise ValueError("diagonal must be zero")
         off = d[~np.eye(self.n, dtype=bool)]
         if not (off > 0).all():
-            raise InvalidInstanceError("off-diagonal distances must be positive")
+            raise ValueError("off-diagonal distances must be positive")
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
 
@@ -96,11 +88,11 @@ def generate_map(n: int, seed: int, mean: float = 100.0, sd: float = 17.0) -> Ts
     is drawn, then mirrored.
     """
     if n < 3:
-        raise InvalidInstanceError(f"need at least 3 cities, got n={n}")
+        raise ValueError(f"need at least 3 cities, got n={n}")
     if sd < 0:
-        raise InvalidInstanceError("sd must be nonnegative")
+        raise ValueError("sd must be nonnegative")
     if sd == 0 and mean <= 0:
-        raise InvalidInstanceError("degenerate map needs a positive mean")
+        raise ValueError("degenerate map needs a positive mean")
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     draws = rng.normal(mean, sd, m)
@@ -110,7 +102,7 @@ def generate_map(n: int, seed: int, mean: float = 100.0, sd: float = 17.0) -> Ts
             break
         draws[bad] = rng.normal(mean, sd, int(bad.sum()))
     else:
-        raise InvalidInstanceError("could not draw positive distances; check mean/sd")
+        raise ValueError("could not draw positive distances; check mean/sd")
     dist = np.zeros((n, n))
     dist[np.triu_indices(n, 1)] = draws
     dist = dist + dist.T
@@ -153,7 +145,7 @@ def compute_nu(inst: TspInstance) -> float:
     """
     limit, path = min(LAM, MU), max_two_edge_path(inst)
     if not 0 < limit / path < math.inf:
-        raise InvalidInstanceError(
+        raise ValueError(
             f"distances are too small or too large to calibrate nu (longest two-edge path {path})")
     nu = round_down_sigfigs(limit / path, 3)
     while nu * path > limit:
@@ -237,11 +229,11 @@ def load_map(path) -> TspInstance:
                         mean=_json_number(gen["mean"], "gen.mean"),
                         sd=_json_number(gen["sd"], "gen.sd")) if gen else None)
     except KeyError as exc:
-        raise InvalidInstanceError(f"malformed map file {path}: missing key {exc}") from exc
+        raise ValueError(f"malformed map file {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InvalidInstanceError(f"malformed map file {path}: {exc}") from exc
+        raise ValueError(f"malformed map file {path}: {exc}") from exc
     if n < 3:
-        raise InvalidInstanceError(f"need at least 3 cities, got n={n}")
+        raise ValueError(f"need at least 3 cities, got n={n}")
     if len(flat) != n * n:
-        raise InvalidInstanceError(f"dist must be a flat list of {n * n} entries")
+        raise ValueError(f"dist must be a flat list of {n * n} entries")
     return TspInstance(n=n, dist=np.reshape(flat, (n, n)), gen_meta=meta)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmoebaState, StepDiagnostics, VariantConfig, step
-from .instance import ConfigurationError, ParamSet, TspInstance, decode_solution, route_length
+from .instance import ParamSet, TspInstance, decode_solution, route_length
 
 DEFAULT_MAX_ITERS = 3000
 
@@ -38,12 +38,12 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
     random-tour length of generated maps. Deterministic for fixed inputs.
     """
     if not params.is_calibrated(inst):
-        raise ConfigurationError(
+        raise ValueError(
             "nu is not calibrated for this map; use ParamSet.for_instance or compute_nu")
     if max_iters < 1:
-        raise ConfigurationError("max_iters must be at least 1")
+        raise ValueError("max_iters must be at least 1")
     if init_level is not None and not math.isfinite(init_level):
-        raise ConfigurationError("init_level must be finite")
+        raise ValueError("init_level must be finite")
     rng = np.random.default_rng(seed)
     state = AmoebaState.initial(inst.n, level=init_level)
     diags: list[StepDiagnostics] | None = [] if trace else None

@@ -157,24 +157,46 @@ def test_semantic_error_is_one_line(tmp_path, capsys, monkeypatch, argv, files, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _output_argv(command, flag, path, tmp_path, map10):
+    """A command line of `command` that writes `flag` to `path` and every
+    other output it takes into tmp_path."""
+    argv = {"batch": ["batch", "--n", "10", "--trials", "2"],
+            "sweep": ["sweep", "--n-list", "8", "--trials", "2"],
+            "solve": ["solve", "--map", str(map10)],
+            "gen-map": ["gen-map", "--n", "5", "--seed", "1"],
+            "fit-scaling": ["fit-scaling", "--results", str(tmp_path / "r.csv")]}[command]
+    outputs = {"sweep": ["--out", "--plot-iters", "--plot-ratio"],
+               "solve": ["--trace"]}.get(command, ["--out"])
+    for out in outputs:
+        argv = [*argv, out, str(path if out == flag else tmp_path / f"{out[2:]}.csv")]
+    return argv
+
+
 @pytest.mark.parametrize("command, flag", [
     ("batch", "--out"), ("sweep", "--out"), ("sweep", "--plot-iters"), ("sweep", "--plot-ratio"),
-    ("solve", "--trace"),
+    ("solve", "--trace"), ("gen-map", "--out"), ("fit-scaling", "--out"),
 ])
 def test_missing_output_directory_rejected_before_any_trial(map10, tmp_path, capsys,
                                                             monkeypatch, command, flag):
     monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
     monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
-    argv = {"batch": ["batch", "--n", "10", "--trials", "2"],
-            "sweep": ["sweep", "--n-list", "8", "--trials", "2"],
-            "solve": ["solve", "--map", str(map10)]}[command]
-    outputs = {"batch": ["--out"], "sweep": ["--out", "--plot-iters", "--plot-ratio"],
-               "solve": ["--trace"]}[command]
     missing = tmp_path / "no-such-dir"
-    for out in outputs:
-        argv = [*argv, out, str((missing if out == flag else tmp_path) / f"{out[2:]}.csv")]
+    argv = _output_argv(command, flag, missing / "out.csv", tmp_path, map10)
     assert run_cli(argv) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: argument {flag}: directory {missing} does not exist\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("batch", "--out"), ("sweep", "--plot-iters"), ("sweep", "--plot-ratio"), ("solve", "--trace"),
+])
+def test_output_path_that_is_a_directory_rejected_before_any_trial(map10, tmp_path, capsys,
+                                                                   monkeypatch, command, flag):
+    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+    monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
+    folder = tmp_path / "a-dir"
+    folder.mkdir()
+    assert run_cli(_output_argv(command, flag, folder, tmp_path, map10)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: argument {flag}: {folder} is a directory\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -191,6 +213,13 @@ def test_negative_seed_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag)
     err = capsys.readouterr().err
     assert f"\nerror: argument {flag}: seed must be a non-negative integer: '-3'\n" in err
     assert not out.exists()
+
+
+def test_seed_too_large_for_a_float_accepted(tmp_path):
+    # the seed bound is a comparison: math.isfinite would raise OverflowError here
+    out = tmp_path / "m.json"
+    assert run_cli(["gen-map", "--n", "5", "--seed", "9" * 400, "--out", str(out)]) == EXIT_OK
+    assert load_map(out).gen_meta.seed == int("9" * 400)
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
@@ -246,6 +275,18 @@ class TestBatchSweepFit:
             assert lines[0] == header
             rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
             assert [row[0] for row in rows] == [8, 10, 12]
+
+    def test_sweep_with_nothing_solved_writes_header_only_plots(self, tmp_path, capsys):
+        out, pi, pr = tmp_path / "sw.csv", tmp_path / "pi.csv", tmp_path / "pr.csv"
+        code = run_cli(["sweep", "--n-list", "5,6", "--preset", "a1", "--trials", "2",
+                        "--max-iters", "50", "--out", str(out),
+                        "--plot-iters", str(pi), "--plot-ratio", str(pr)])
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            assert [row["success_rate"] for row in csv.DictReader(fh)] == ["0.0", "0.0"]
+        assert pi.read_text().splitlines() == ["n,avg_iterations,sqrt_n_fit"]
+        assert pr.read_text().splitlines() == ["n,avg_ratio,reference_0.9"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag", ["--plot-iters", "--plot-ratio"])
     def test_plot_flags_go_together(self, tmp_path, capsys, flag):

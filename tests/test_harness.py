@@ -263,3 +263,10 @@ class TestCsvAndJson:
         assert lines_b[0] == "n,avg_ratio,reference_0.9"
         rows_b = [[float(cell) for cell in line.split(",")] for line in lines_b[1:]]
         assert [row[1:] for row in rows_b] == [[0.9, 0.9]] * 3
+
+    def test_plot_data_with_nothing_solved_is_header_only(self, tmp_path):
+        stats = [AggregateStats("a1", n, 2, 0.0, None, None, None, None) for n in (5, 6)]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_plot_data(stats, a, b)
+        assert a.read_text().splitlines() == ["n,avg_iterations,sqrt_n_fit"]
+        assert b.read_text().splitlines() == ["n,avg_ratio,reference_0.9"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebatsp import (
-    ConfigurationError,
     ParamSet,
     decode_solution,
     generate_map,
@@ -65,12 +64,12 @@ class TestRunTrial:
     def test_uncalibrated_nu_refused(self, small):
         inst, _ = small
         bad = ParamSet(nu=1.0)  # way past the calibration bound
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match="not calibrated"):
             run_trial(inst, bad, preset("original"), seed=0)
 
     def test_bad_budget_refused(self, small):
         inst, p = small
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match="max_iters"):
             run_trial(inst, p, preset("original"), seed=0, max_iters=0)
 
     def test_default_start_follows_size_rule(self, small):
