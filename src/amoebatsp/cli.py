@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -66,18 +67,6 @@ def _variant(args) -> tuple[str, VariantConfig]:
     return args.preset, preset(args.preset)
 
 
-def _add_variant_flags(parser):
-    parser.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                        help="named variant; mutually exclusive with element flags")
-    parser.add_argument("--element-a", dest="element_a", choices=[e.value for e in ElementA])
-    parser.add_argument("--element-b", dest="element_b", choices=[e.value for e in ElementB])
-    parser.add_argument("--i-scale", dest="i_scale", type=float)
-    parser.add_argument("--element-c", dest="element_c", action="append",
-                        choices=[e.value for e in ElementC],
-                        help="repeatable flag replacements")
-    parser.add_argument("--normal-sd", dest="normal_sd", type=float)
-
-
 def _n_list(text):
     try:
         sizes = [int(tok) for tok in text.replace(",", " ").split()]
@@ -108,16 +97,22 @@ _seed = _nonnegative(int, "seed must be a non-negative integer")
 
 def _check_out_dirs(args):
     """Refuse, before any trial runs, an output file whose directory is
-    missing or which is itself a directory."""
+    missing, that is a directory, or that another flag of the command names."""
+    # realpath, unlike Path.resolve, does not raise on a symlink loop
+    named = {os.path.realpath(getattr(args, key)): f"--{key}"
+             for key in ("map", "results", "config") if getattr(args, key, None) is not None}
     for key in ("out", "trace", "plot_iters", "plot_ratio"):
         path = getattr(args, key, None)
         if path is None:
             continue
-        path, flag = Path(path), f"argument --{key.replace('_', '-')}"
+        path, flag = Path(path), "--" + key.replace("_", "-")
         if path.is_dir():
-            raise ValueError(f"{flag}: {path} is a directory")
+            raise ValueError(f"argument {flag}: {path} is a directory")
         if not path.parent.is_dir():
-            raise ValueError(f"{flag}: directory {path.parent} does not exist")
+            raise ValueError(f"argument {flag}: directory {path.parent} does not exist")
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"argument {flag}: {path} is also given to {other}")
 
 
 def _with_config(parser, argv, args):
@@ -159,17 +154,6 @@ def _with_config(parser, argv, args):
 def _holds_text(value) -> bool:
     """Whether a value, or any entry of a list value, is a string."""
     return any(isinstance(v, str) for v in (value if isinstance(value, list) else [value]))
-
-
-def _add_run_flags(parser):
-    parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
-    _add_init_level_flag(parser)
-
-
-def _add_init_level_flag(parser):
-    parser.add_argument("--init-level", dest="init_level", type=float, default=None,
-                        help="uniform initial branch length (default: the size rule, "
-                             "0.435 at n=20)")
 
 
 def cmd_gen_map(args) -> int:
@@ -302,6 +286,32 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="amoebatsp",
                      description="Amoeba-inspired TSP dynamics: solve, ablate, benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each group of shared flags is declared once, as a parent parser; a
+    # command lists the groups it takes.
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--preset", choices=sorted(PRESETS),
+                         help="named variant; mutually exclusive with element flags")
+    variant.add_argument("--element-a", choices=[e.value for e in ElementA])
+    variant.add_argument("--element-b", choices=[e.value for e in ElementB])
+    variant.add_argument("--i-scale", type=float)
+    variant.add_argument("--element-c", action="append", choices=[e.value for e in ElementC],
+                         help="repeatable flag replacements")
+    variant.add_argument("--normal-sd", type=float)
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--init-level", type=float, help="uniform initial branch length "
+                       "(default: the size rule, 0.435 at n=20)")
+    iters = argparse.ArgumentParser(add_help=False)
+    iters.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--trials", type=int, default=200)
+    settings.add_argument("--global-seed", type=_seed, default=0)
+    settings.add_argument("--workers", type=int, default=1)
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config", help="JSON run-config file")
+    run_flags.add_argument("--map-policy", choices=["fresh", "fixed"], default="fresh")
+    run_flags.add_argument("--map-seed", type=_seed)
+    run_flags.add_argument("--out", required=True)
+    batch_parents = [run_flags, variant, settings, iters, level]
 
     p = sub.add_parser("gen-map", help="generate a random map file")
     p.add_argument("--n", type=int, required=True)
@@ -311,54 +321,39 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_gen_map)
 
-    p = sub.add_parser("solve", help="run one search on a map file")
+    p = sub.add_parser("solve", help="run one search on a map file",
+                       parents=[variant, iters, level])
     p.add_argument("--map", required=True)
-    _add_variant_flags(p)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_run_flags(p)
-    p.add_argument("--trace", default=None, help="write per-step trace CSV here")
+    p.add_argument("--trace", help="write per-step trace CSV here")
     p.set_defaults(run=cmd_solve)
 
-    for name, helptext, run in (("batch", "seeded trial batch for one configuration", cmd_batch),
-                                ("sweep", "batches across city counts", cmd_sweep)):
-        p = sub.add_parser(name, help=helptext)
-        p.set_defaults(run=run)
-        p.add_argument("--config", default=None, help="JSON run-config file")
-        if name == "batch":
-            p.add_argument("--n", type=int, default=None)
-        else:
-            p.add_argument("--n-list", dest="n_list", type=_n_list, default=None,
-                           help="comma-separated city counts")
-            p.add_argument("--plot-iters", dest="plot_iters", default=None)
-            p.add_argument("--plot-ratio", dest="plot_ratio", default=None)
-        _add_variant_flags(p)
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--global-seed", dest="global_seed", type=_seed, default=0)
-        _add_run_flags(p)
-        p.add_argument("--map-policy", dest="map_policy", choices=["fresh", "fixed"],
-                       default="fresh")
-        p.add_argument("--map-seed", dest="map_seed", type=_seed, default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", required=True)
+    p = sub.add_parser("batch", help="seeded trial batch for one configuration",
+                       parents=batch_parents)
+    p.add_argument("--n", type=int)
+    p.set_defaults(run=cmd_batch)
+
+    p = sub.add_parser("sweep", help="batches across city counts", parents=batch_parents)
+    p.add_argument("--n-list", type=_n_list, help="comma-separated city counts")
+    p.add_argument("--plot-iters")
+    p.add_argument("--plot-ratio")
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("fit-scaling", help="log-log fit on a sweep results CSV")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_fit_scaling)
 
-    p = sub.add_parser("reproduce", help="re-run a reference table and compare")
+    p = sub.add_parser("reproduce", help="re-run a reference table and compare",
+                       parents=[settings, level])
     p.add_argument("--table", choices=["2", "3", "4", "5"], required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--global-seed", dest="global_seed", type=_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    _add_init_level_flag(p)
-    p.add_argument("--n-list", dest="n_list", type=_n_list, default=None,
+    p.add_argument("--n-list", type=_n_list,
                    help="city counts for table 5 (default: 10,20,50,100)")
-    p.add_argument("--iters-tol", dest="iters_tol", type=_tolerance, default=0.15,
+    p.add_argument("--iters-tol", type=_tolerance, default=0.15,
                    help="relative tolerance on mean iterations")
-    p.add_argument("--ratio-tol", dest="ratio_tol", type=_tolerance, default=0.03,
+    p.add_argument("--ratio-tol", type=_tolerance, default=0.03,
                    help="absolute tolerance on mean ratio")
-    p.add_argument("--success-tol", dest="success_tol", type=_tolerance, default=0.05,
+    p.add_argument("--success-tol", type=_tolerance, default=0.05,
                    help="absolute tolerance on success rate")
     p.set_defaults(run=cmd_reproduce)
     return parser

@@ -84,6 +84,10 @@ class VariantConfig:
     normal_sd: float = DEFAULT_NORMAL_SD
 
     def __post_init__(self):
+        if not isinstance(self.element_a, ElementA):
+            raise ValueError(f"unknown element_a: {self.element_a!r}")
+        if not isinstance(self.element_b, ElementB):
+            raise ValueError(f"unknown element_b: {self.element_b!r}")
         if not (math.isfinite(self.i_scale) and self.i_scale > 0):
             raise ValueError("i_scale must be positive and finite")
         if not (math.isfinite(self.normal_sd) and self.normal_sd > 0):

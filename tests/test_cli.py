@@ -7,7 +7,8 @@ import json
 import pytest
 
 from amoebatsp import ParamSet, load_map, preset, run_batch, run_trial
-from amoebatsp.cli import EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL, main
+from amoebatsp.cli import (EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL,
+                           build_parser, main)
 from amoebatsp.harness import standard_error
 
 
@@ -21,6 +22,38 @@ def run_cli(argv):
 
 def _no_batch(*args, **kwargs):
     raise AssertionError("a batch ran before the flags were checked")
+
+
+R = "required"
+VARIANT = {"--preset": None, "--element-a": None, "--element-b": None, "--i-scale": None,
+           "--element-c": None, "--normal-sd": None}
+# every flag of each command with its default, or R for a required flag
+SURFACE = {
+    "gen-map": {"--n": R, "--seed": R, "--mean": 100.0, "--sd": 17.0, "--out": R},
+    "solve": {"--map": R, "--seed": 0, "--trace": None, "--init-level": None,
+              "--max-iters": 3000, **VARIANT},
+    "batch": {"--n": None, "--config": None, "--map-policy": "fresh", "--map-seed": None,
+              "--out": R, "--trials": 200, "--global-seed": 0, "--workers": 1,
+              "--init-level": None, "--max-iters": 3000, **VARIANT},
+    "sweep": {"--n-list": None, "--plot-iters": None, "--plot-ratio": None, "--config": None,
+              "--map-policy": "fresh", "--map-seed": None, "--out": R, "--trials": 200,
+              "--global-seed": 0, "--workers": 1, "--init-level": None, "--max-iters": 3000,
+              **VARIANT},
+    "fit-scaling": {"--results": R, "--out": R},
+    "reproduce": {"--table": R, "--trials": 200, "--global-seed": 0, "--workers": 1,
+                  "--init-level": None, "--n-list": None, "--iters-tol": 0.15,
+                  "--ratio-tol": 0.03, "--success-tol": 0.05},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_flag_surface(command, capsys):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = {a.option_strings[0]: R if a.required else a.default
+             for a in sub._actions if a.dest != "help"}
+    assert flags == SURFACE[command]
+    assert run_cli([command, "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: amoebatsp {command} ")
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +230,43 @@ def test_output_path_that_is_a_directory_rejected_before_any_trial(map10, tmp_pa
     folder.mkdir()
     assert run_cli(_output_argv(command, flag, folder, tmp_path, map10)) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: argument {flag}: {folder} is a directory\n"
+
+
+@pytest.mark.parametrize("argv, flag, other", [
+    (["sweep", "--n-list", "6", "--out", "{tmp}/s.csv", "--plot-iters", "{same}",
+      "--plot-ratio", "{same}"], "--plot-ratio", "--plot-iters"),
+    (["sweep", "--n-list", "6", "--out", "{same}", "--plot-iters", "{same}",
+      "--plot-ratio", "{tmp}/pr.csv"], "--plot-iters", "--out"),
+    (["solve", "--map", "{same}", "--trace", "{same}"], "--trace", "--map"),
+    (["fit-scaling", "--results", "{same}", "--out", "{same}"], "--out", "--results"),
+    (["batch", "--config", "{same}", "--out", "{tmp}/sub/../same"], "--out", "--config"),
+], ids=["plot-iters-plot-ratio", "out-plot-iters", "map-trace", "results-out", "config-out"])
+def test_output_path_named_by_another_flag_rejected_before_any_trial(tmp_path, capsys,
+                                                                     monkeypatch, argv, flag,
+                                                                     other):
+    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+    monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
+    (tmp_path / "sub").mkdir()
+    same = tmp_path / "same"
+    same.write_text('{"n": 6}')
+    argv = [arg.format(tmp=tmp_path, same=same) for arg in argv]
+    assert run_cli(argv) == EXIT_USAGE
+    path = argv[argv.index(flag) + 1]
+    assert capsys.readouterr().err == f"error: argument {flag}: {path} is also given to {other}\n"
+    assert same.read_text() == '{"n": 6}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-map", "--n", "5", "--seed", "1", "--out", "{loop}"],
+    ["solve", "--map", "{loop}"],
+], ids=["output", "input"])
+def test_symlink_loop_is_one_error_line(tmp_path, capsys, argv):
+    loop, back = tmp_path / "loop", tmp_path / "back"
+    loop.symlink_to(back)
+    back.symlink_to(loop)
+    assert run_cli([arg.format(loop=loop) for arg in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -135,6 +135,9 @@ class TestVariantConfig:
          "normal_sd must be positive"),
         ({"element_a": ElementA.NORMAL, "normal_sd": float("inf")},
          "normal_sd must be positive"),
+        # a name in place of its member would run the base model unchanged
+        ({"element_a": "normal", "normal_sd": 0.005}, "unknown element_a: 'normal'"),
+        ({"element_b": "scale_i", "i_scale": 0.9}, "unknown element_b: 'scale_i'"),
     ])
     def test_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
