@@ -368,8 +368,8 @@ def main(argv=None) -> int:
             args = _with_config(parser, argv, args)
         _check_out_dirs(args)
         return args.run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ElementA, ElementB, ElementC, VariantConfig
-from .instance import ParamSet, TspInstance, generate_map
+from .instance import ParamSet, generate_map
 from .solver import DEFAULT_MAX_ITERS, TrialResult, run_trial
 
 _MAP_STREAM = 0x6D61

@@ -159,11 +159,14 @@ def coupling_field(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.nda
 
     Row and column conflicts exclude the lane itself; the distance term
     couples cyclically adjacent steps, and the zero diagonal of dist drops
-    its same-city pairs, which the row term already counts.
+    its same-city pairs, which the row term already counts. The column
+    gather adds the same operands in the same order as two np.rolls, and
+    costs a fraction of them on small maps.
     """
     row_sums = y.sum(axis=1, keepdims=True)
     col_sums = y.sum(axis=0, keepdims=True)
-    adjacent = np.roll(y, 1, axis=1) + np.roll(y, -1, axis=1)
+    steps = np.arange(inst.n)
+    adjacent = y[:, steps - 1] + y[:, (steps + 1) % inst.n]
     return -(LAM * (row_sums - y)
              + MU * (col_sums - y)
              + params.nu * (inst.dist @ adjacent))

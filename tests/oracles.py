@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the program against.
 
 cost_weight is the literal Hopfield-Tank weight of one pair of lanes, the
-definition that instance.coupling_field vectorises; cost_function is the
-quadratic assignment cost built on that field; brute_force_optimum is the
-exhaustive shortest tour of a small map.
+definition that instance.coupling_field vectorises; coupling_field_roll is
+that field in its first vectorised form, which the program's must match bit
+for bit; cost_function is the quadratic assignment cost built on the field;
+brute_force_optimum is the exhaustive shortest tour of a small map.
 """
 
 import itertools
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from amoebatsp import ParamSet, TspInstance, coupling_field, instance, route_length
+from amoebatsp import instance
+from amoebatsp.instance import ParamSet, TspInstance, coupling_field, route_length
 
 BRUTE_FORCE_MAX_N = 10
 
@@ -36,6 +38,17 @@ def cost_weight(v: int, k: int, u: int, l: int, params: ParamSet, inst: TspInsta
     if v != u and (abs(k - l) == 1 or (k == n - 1 and l == 0) or (k == 0 and l == n - 1)):
         return -params.nu * float(inst.dist[v, u])
     return 0.0
+
+
+def coupling_field_roll(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.ndarray:
+    """coupling_field with the cyclically adjacent steps summed by two
+    np.rolls, the form that the column gather in the package replaced."""
+    row_sums = y.sum(axis=1, keepdims=True)
+    col_sums = y.sum(axis=0, keepdims=True)
+    adjacent = np.roll(y, 1, axis=1) + np.roll(y, -1, axis=1)
+    return -(instance.LAM * (row_sums - y)
+             + instance.MU * (col_sums - y)
+             + params.nu * (inst.dist @ adjacent))
 
 
 def cost_function(x_bin: np.ndarray, params: ParamSet, inst: TspInstance) -> float:

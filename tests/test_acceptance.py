@@ -15,20 +15,11 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 
-from amoebatsp import (
-    AmoebaState,
-    ElementA,
-    ParamSet,
-    VariantConfig,
-    fit_scaling,
-    generate_map,
-    preset,
-    route_length,
-    run_batch,
-    run_trial,
-    step,
-)
-from amoebatsp.harness import REFERENCE_IMPROVED_SWEEP, standard_error
+from amoebatsp.dynamics import AmoebaState, ElementA, VariantConfig, step
+from amoebatsp.harness import (REFERENCE_IMPROVED_SWEEP, fit_scaling, preset, run_batch,
+                               standard_error)
+from amoebatsp.instance import ParamSet, generate_map, route_length
+from amoebatsp.solver import run_trial
 from oracles import brute_force_optimum, cost_function
 
 GLOBAL_SEED = 0

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from amoebatsp import ParamSet, load_map, preset, run_batch, run_trial
 from amoebatsp.cli import (EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL,
                            build_parser, main)
-from amoebatsp.harness import standard_error
+from amoebatsp.harness import preset, run_batch, standard_error
+from amoebatsp.instance import ParamSet, load_map
+from amoebatsp.solver import run_trial
 
 
 def run_cli(argv):
@@ -290,6 +291,25 @@ def test_seed_too_large_for_a_float_accepted(tmp_path):
     out = tmp_path / "m.json"
     assert run_cli(["gen-map", "--n", "5", "--seed", "9" * 400, "--out", str(out)]) == EXIT_OK
     assert load_map(out).gen_meta.seed == int("9" * 400)
+
+
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 37.3 GiB for an array with shape (100000, 100000) "
+                       "and data type float64")
+
+
+@pytest.mark.parametrize("text, message", [(NUMPY_OUT_OF_MEMORY, NUMPY_OUT_OF_MEMORY),
+                                           ("", "out of memory")], ids=["numpy", "bare"])
+def test_map_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch, text, message):
+    # a real n=100000 batch asks numpy for tens of GiB; on a host that
+    # overcommits memory it may be killed instead, so the allocation is faked
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr("amoebatsp.cli.run_batch", out_of_memory)
+    argv = ["batch", "--n", "100000", "--preset", "improved", "--trials", "1",
+            "--out", str(tmp_path / "b.csv")]
+    assert run_cli(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])

@@ -6,24 +6,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amoebatsp import (
+from amoebatsp.dynamics import (
+    CONTRACTION_SIGMOID,
+    DEFAULT_INIT_LEVEL,
+    DELTA_IN,
+    INNER_SIGMOID,
+    OUTER_SIGMOID,
     AmoebaState,
     ElementA,
     ElementB,
     ElementC,
-    ParamSet,
     SigmoidParams,
     VariantConfig,
     compute_I_and_S,
     compute_L,
     compute_O,
-    generate_map,
-    preset,
+    initial_level,
     sample_fluctuations,
     sigmoid,
     step,
 )
-from amoebatsp.dynamics import CONTRACTION_SIGMOID, DELTA_IN, INNER_SIGMOID, OUTER_SIGMOID
+from amoebatsp.harness import preset
+from amoebatsp.instance import ParamSet, TspInstance, generate_map
+from amoebatsp.solver import run_trial
 from oracles import cost_weight
 
 ORIGINAL = VariantConfig()
@@ -456,8 +461,6 @@ class TestEquivariance:
     """The update commutes with the problem's symmetries."""
 
     def test_city_relabeling(self):
-        from amoebatsp import TspInstance
-
         inst = generate_map(7, seed=61)
         p = ParamSet.for_instance(inst)
         rng = np.random.default_rng(2)
@@ -489,8 +492,6 @@ class TestEquivariance:
 
 class TestInitialState:
     def test_default_level(self):
-        from amoebatsp import initial_level
-
         state = AmoebaState.initial(6)
         assert (state.x == initial_level(6)).all()
         assert state.stock == 0.0 and state.t == 0
@@ -498,8 +499,6 @@ class TestInitialState:
     def test_size_rule_holds_summed_inner_response(self):
         # the n=20 start is the calibrated default level, and every size
         # starts with the same summed inner response over its n^2 lanes
-        from amoebatsp import DEFAULT_INIT_LEVEL, initial_level
-
         inner = SigmoidParams(35, 0.6)
         assert initial_level(20) == DEFAULT_INIT_LEVEL
         total_20 = 400 * sigmoid(inner, DEFAULT_INIT_LEVEL)
@@ -511,8 +510,6 @@ class TestInitialState:
     def test_empty_lane_mode_stays_dark(self):
         # level 0 keeps the field far below the response zone: no lane is
         # ever illuminated and branch mass only accrues the hub drip
-        from amoebatsp import run_trial, preset
-
         inst = generate_map(5, seed=63)
         p = ParamSet.for_instance(inst)
         r = run_trial(inst, p, preset("original"), seed=1, max_iters=50,

@@ -5,31 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebatsp import (
-    ElementA,
-    ElementB,
-    ElementC,
-    ParamSet,
-    TrialResult,
-    VariantConfig,
-    aggregate,
-    fit_scaling,
-    generate_map,
-    preset,
-    run_batch,
-    run_trial,
-)
+from amoebatsp.dynamics import ElementA, ElementB, ElementC
 from amoebatsp.harness import (
     _MAP_STREAM,
     _TRIAL_STREAM,
     PRESETS,
     AggregateStats,
     _derive_seed,
+    aggregate,
+    fit_scaling,
+    preset,
     read_results_csv,
+    run_batch,
     write_fit_json,
     write_plot_data,
     write_results_csv,
 )
+from amoebatsp.instance import ParamSet, generate_map
+from amoebatsp.solver import TrialResult, run_trial
 
 # reference sweep column used as a fixture for the fit
 SWEEP_COLUMN = [(10, 199.5), (11, 201.3), (12, 211.1), (13, 219.1), (14, 229.0),

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from amoebatsp import (
+from amoebatsp import instance
+from amoebatsp.instance import (
     GenMeta,
     ParamSet,
     TspInstance,
@@ -20,12 +21,12 @@ from amoebatsp import (
     decode_solution,
     generate_map,
     load_map,
+    max_two_edge_path,
+    round_down_sigfigs,
     route_length,
     save_map,
 )
-from amoebatsp import instance
-from amoebatsp.instance import max_two_edge_path, round_down_sigfigs
-from oracles import brute_force_optimum, cost_function, cost_weight
+from oracles import brute_force_optimum, cost_function, cost_weight, coupling_field_roll
 
 
 def uniform_instance(n, d=100.0):
@@ -172,6 +173,19 @@ class TestCouplingField:
                 expected = sum(cost_weight(v, k, u, l, p, inst) * y[u, l]
                                for u, l in np.ndindex(n, n))
                 assert field[v, k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_bit_identical_to_roll_form(self, n, seed, data):
+        # the gather must add the same operands in the same order as the two
+        # rolls, so every bit agrees, signed zeros and overflow included
+        inst = generate_map(n, seed)
+        p = ParamSet.for_instance(inst)
+        y = data.draw(arrays(float, (n, n),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            field, reference = coupling_field(y, p, inst), coupling_field_roll(y, p, inst)
+        assert field.tobytes() == reference.tobytes()
 
 
 class TestCostFunction:

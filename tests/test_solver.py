@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebatsp import (
-    ParamSet,
-    decode_solution,
-    generate_map,
-    preset,
-    route_length,
-    run_trial,
-)
-from amoebatsp.dynamics import DELTA_IN
-from amoebatsp.harness import PRESETS
+from amoebatsp.dynamics import DELTA_IN, initial_level
+from amoebatsp.harness import PRESETS, preset
+from amoebatsp.instance import ParamSet, decode_solution, generate_map, route_length
+from amoebatsp.solver import run_trial
 from oracles import brute_force_optimum
 
 
@@ -74,8 +68,6 @@ class TestRunTrial:
 
     def test_default_start_follows_size_rule(self, small):
         # one noiseless step from an all-dark start adds DELTA_IN / n^2
-        from amoebatsp import initial_level
-
         inst, p = small
         r = run_trial(inst, p, preset("a1"), seed=0, max_iters=1)
         assert np.allclose(r.final_x, initial_level(10) + DELTA_IN / 100, atol=1e-15)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from amoebatsp import ParamSet, generate_map, preset, run_trial
+from amoebatsp.harness import preset
+from amoebatsp.instance import ParamSet, generate_map
+from amoebatsp.solver import run_trial
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

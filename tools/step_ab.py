@@ -26,6 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 # trajectory batches: every preset at each size, as run_batch runs them
 SIZES = (8, 12, 20)
@@ -38,9 +39,12 @@ RUNS = ((10, "improved", 60), (20, "original", 40), (100, "improved", 16))
 MAP_SEED = 1000
 
 
-def load(checkout: str, name: str, into: Path):
+def load(checkout: str, name: str, into: Path) -> SimpleNamespace:
+    """The checkout's modules that the comparison calls, imported by module
+    rather than through the package root, which may or may not re-export them."""
     shutil.copytree(Path(checkout) / "src" / "amoebatsp", into / name)
-    return importlib.import_module(name)
+    return SimpleNamespace(**{module: importlib.import_module(f"{name}.{module}")
+                              for module in ("harness", "instance", "solver")})
 
 
 def trajectories(pkg) -> tuple[dict, dict]:
@@ -49,8 +53,9 @@ def trajectories(pkg) -> tuple[dict, dict]:
     trials = {}
     for name, cfg in pkg.harness.PRESETS.items():
         for n in SIZES:
-            stats = pkg.run_batch(n, TRIALS, cfg, global_seed=GLOBAL_SEED, max_iters=MAX_ITERS,
-                                  workers=WORKERS, variant_name=name, keep_trials=True)
+            stats = pkg.harness.run_batch(n, TRIALS, cfg, global_seed=GLOBAL_SEED,
+                                          max_iters=MAX_ITERS, workers=WORKERS,
+                                          variant_name=name, keep_trials=True)
             for index, r in enumerate(stats.per_trial):
                 trials[name, n, index] = (repr((name, n, r.success, r.iterations, r.tour)).encode(),
                                           r.final_x.tobytes())
@@ -70,10 +75,10 @@ def compare(sides) -> dict:
 
 
 def timed_trial(pkg, n: int, preset: str, seed: int) -> tuple[float, tuple]:
-    inst = pkg.generate_map(n, MAP_SEED + seed)
-    params, cfg = pkg.ParamSet.for_instance(inst), pkg.preset(preset)
+    inst = pkg.instance.generate_map(n, MAP_SEED + seed)
+    params, cfg = pkg.instance.ParamSet.for_instance(inst), pkg.harness.preset(preset)
     start = perf_counter()
-    r = pkg.run_trial(inst, params, cfg, seed=seed)
+    r = pkg.solver.run_trial(inst, params, cfg, seed=seed)
     return 1e6 * (perf_counter() - start) / r.iterations, (r.success, r.iterations, r.tour)
 
 
