@@ -32,7 +32,7 @@ from .harness import (
     write_plot_data,
     write_results_csv,
 )
-from .instance import ParamSet, generate_map, load_map, save_map
+from .instance import MAP_MEAN, MAP_SD, ParamSet, generate_map, load_map, save_map
 from .solver import DEFAULT_MAX_ITERS, run_trial
 
 EXIT_OK = 0
@@ -56,15 +56,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _variant(args) -> tuple[str, VariantConfig]:
-    """Variant name and configuration from --preset or the element flags."""
+def _variant(args) -> VariantConfig:
+    """Variant configuration from --preset or the element flags."""
     given = {key: convert(getattr(args, key)) for key, convert in ELEMENT_FIELDS.items()
              if getattr(args, key) is not None}
     if args.preset is None:
-        return "custom", VariantConfig(**given)
+        return VariantConfig(**given)
     if given:
         raise ValueError("--preset and explicit element flags are mutually exclusive")
-    return args.preset, preset(args.preset)
+    return preset(args.preset)
 
 
 def _n_list(text):
@@ -164,15 +164,15 @@ def cmd_gen_map(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _, cfg = _variant(args)
+    cfg = _variant(args)
     inst = load_map(args.map)
-    params = ParamSet.for_instance(inst)
-    result = run_trial(inst, params, cfg, seed=args.seed, max_iters=args.max_iters,
-                       trace=args.trace is not None, init_level=args.init_level)
+    rows = None if args.trace is None else []
+    result = run_trial(inst, ParamSet.for_instance(inst), cfg, seed=args.seed,
+                       max_iters=args.max_iters, trace=rows, init_level=args.init_level)
     if args.trace is not None:
         write_csv(args.trace, ["t", "L_off", "sum_X", "S", "total_O", "residual"],
-                  map(dataclasses.astuple, result.trace))
-        print(f"trace written to {args.trace} ({len(result.trace)} rows)")
+                  map(dataclasses.astuple, rows))
+        print(f"trace written to {args.trace} ({len(rows)} rows)")
     if result.success:
         tour_1based = " ".join(str(c + 1) for c in result.tour)
         print(f"solved in {result.iterations} iterations")
@@ -186,14 +186,16 @@ def cmd_solve(args) -> int:
 
 def _run_batches(args, sizes) -> list:
     """One batch per city count, written to --out with one summary line each."""
-    name, cfg = _variant(args)
+    if args.out is None:
+        raise ValueError("--out is required")
+    cfg = _variant(args)
     stats = [run_batch(n, args.trials, cfg, global_seed=args.global_seed,
                        max_iters=args.max_iters, map_policy=args.map_policy,
                        map_seed=args.map_seed, init_level=args.init_level,
-                       workers=args.workers, variant_name=name) for n in sizes]
+                       workers=args.workers) for n in sizes]
     write_results_csv(stats, args.out)
     for s in stats:
-        print(f"{name} n={s.n} trials={s.trials}: success_rate={s.success_rate:.3f} "
+        print(f"{s.variant} n={s.n} trials={s.trials}: success_rate={s.success_rate:.3f} "
               f"avg_iterations={_fmt(s.avg_iterations)} avg_ratio={_fmt(s.avg_ratio, 4)}")
     print(f"results written to {args.out}")
     return stats
@@ -266,7 +268,7 @@ def cmd_reproduce(args) -> int:
     all_ok = True
     for label, name, n, (ref_sr, ref_it, ref_ratio) in plan:
         s = run_batch(n, args.trials, preset(name), global_seed=args.global_seed,
-                      workers=args.workers, init_level=args.init_level, variant_name=name)
+                      workers=args.workers, init_level=args.init_level)
         # a row with no reference iterations (nothing solved) must match its rate exactly
         ok = (_near(s.avg_iterations, ref_it, args.iters_tol * (ref_it or 0))
               and _near(s.avg_ratio, ref_ratio, args.ratio_tol)
@@ -310,14 +312,14 @@ def build_parser() -> _Parser:
     run_flags.add_argument("--config", help="JSON run-config file")
     run_flags.add_argument("--map-policy", choices=["fresh", "fixed"], default="fresh")
     run_flags.add_argument("--map-seed", type=_seed)
-    run_flags.add_argument("--out", required=True)
+    run_flags.add_argument("--out")
     batch_parents = [run_flags, variant, settings, iters, level]
 
     p = sub.add_parser("gen-map", help="generate a random map file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--mean", type=float, default=100.0)
-    p.add_argument("--sd", type=float, default=17.0)
+    p.add_argument("--mean", type=float, default=MAP_MEAN)
+    p.add_argument("--sd", type=float, default=MAP_SD)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_gen_map)
 

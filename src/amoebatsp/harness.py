@@ -115,13 +115,17 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
+def trial_seeds(global_seed: int, index: int) -> tuple[int, int]:
+    """(map seed, trial seed) of trial `index` in a batch run with global_seed."""
+    return (_derive_seed(global_seed, index, _MAP_STREAM),
+            _derive_seed(global_seed, index, _TRIAL_STREAM))
+
+
 def _trial(index, n, cfg, global_seed, map_seed, max_iters, init_level, keep_trials):
     """Trial `index` of a batch; map_seed None draws the trial's own map."""
-    if map_seed is None:
-        map_seed = _derive_seed(global_seed, index, _MAP_STREAM)
-    inst = generate_map(n, map_seed)
-    result = run_trial(inst, ParamSet.for_instance(inst), cfg,
-                       seed=_derive_seed(global_seed, index, _TRIAL_STREAM),
+    own_map_seed, seed = trial_seeds(global_seed, index)
+    inst = generate_map(n, own_map_seed if map_seed is None else map_seed)
+    result = run_trial(inst, ParamSet.for_instance(inst), cfg, seed=seed,
                        max_iters=max_iters, init_level=init_level)
     if not keep_trials:
         result.final_x = None
@@ -131,15 +135,14 @@ def _trial(index, n, cfg, global_seed, map_seed, max_iters, init_level, keep_tri
 def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
               max_iters: int = DEFAULT_MAX_ITERS, map_policy: str = "fresh",
               map_seed: int | None = None, init_level: float | None = None,
-              workers: int = 1, variant_name: str = "custom",
-              keep_trials: bool = False) -> AggregateStats:
+              workers: int = 1, keep_trials: bool = False) -> AggregateStats:
     """Run seeded trials of one configuration and aggregate the criteria.
 
-    map_policy "fresh" draws a new map per trial (nu recalibrated each
-    time) and refuses a map_seed; "fixed" reuses one map seeded by
-    map_seed (derived from global_seed when omitted). init_level None
-    starts every trial at initial_level(n). keep_trials attaches the
-    trial results, final states included, as per_trial.
+    map_policy "fresh" draws a new map per trial (nu recalibrated each time)
+    and refuses a map_seed; "fixed" reuses one map seeded by map_seed
+    (derived from global_seed when omitted). init_level None starts every
+    trial at initial_level(n). keep_trials attaches the trial results, final
+    states included, as per_trial. The label is cfg's PRESETS name or "custom".
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -159,7 +162,8 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
             results = pool.map(job, range(trials))
     else:
         results = [job(i) for i in range(trials)]
-    stats = aggregate(results, variant_name, n)
+    name = next((key for key, known in PRESETS.items() if known == cfg), "custom")
+    stats = aggregate(results, name, n)
     if keep_trials:
         stats.per_trial = results
     return stats

@@ -20,6 +20,11 @@ import numpy as np
 # one step (MU): the fixed Hopfield-Tank constants of the model.
 LAM = MU = 0.5
 
+# Default mean and sd of generated pair distances; MAP_MEAN * n, the mean
+# random-tour length, normalises a tour's ratio.
+MAP_MEAN = 100.0
+MAP_SD = 17.0
+
 
 @dataclass(frozen=True)
 class GenMeta:
@@ -81,7 +86,7 @@ class DecodedSolution:
     tour: tuple[int, ...] | None
 
 
-def generate_map(n: int, seed: int, mean: float = 100.0, sd: float = 17.0) -> TspInstance:
+def generate_map(n: int, seed: int, mean: float = MAP_MEAN, sd: float = MAP_SD) -> TspInstance:
     """Draw a symmetric random map; nonpositive draws are resampled.
 
     Deterministic for a fixed (n, seed, mean, sd). Only the upper triangle

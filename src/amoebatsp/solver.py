@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AmoebaState, StepDiagnostics, VariantConfig, step
-from .instance import ParamSet, TspInstance, decode_solution, route_length
+from .instance import MAP_MEAN, ParamSet, TspInstance, decode_solution, route_length
 
 DEFAULT_MAX_ITERS = 3000
 
@@ -22,20 +22,20 @@ class TrialResult:
     tour: tuple[int, ...] | None = None
     r_calc: float | None = None
     ratio: float | None = None
-    trace: list[StepDiagnostics] | None = None
     final_x: np.ndarray | None = None
 
 
 def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int,
-              max_iters: int = DEFAULT_MAX_ITERS, trace: bool = False,
+              max_iters: int = DEFAULT_MAX_ITERS, trace: list[StepDiagnostics] | None = None,
               init_level: float | None = None) -> TrialResult:
     """Run one seeded search and report the first valid tour, if any.
 
     Every lane starts at init_level, by default initial_level(inst.n).
     Refuses to run with an uncalibrated nu (constraint penalties must
     dominate any two-edge path cost). Termination is checked after every
-    full step. The ratio is the route length over 100 * n, the mean
-    random-tour length of generated maps. Deterministic for fixed inputs.
+    full step; each step appends its StepDiagnostics row to a trace list.
+    The ratio is the route length over MAP_MEAN * n, the mean random-tour
+    length of generated maps. Deterministic for fixed inputs.
     """
     if not params.is_calibrated(inst):
         raise ValueError(
@@ -46,9 +46,8 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
         raise ValueError("init_level must be finite")
     rng = np.random.default_rng(seed)
     state = AmoebaState.initial(inst.n, level=init_level)
-    diags: list[StepDiagnostics] | None = [] if trace else None
     for _ in range(max_iters):
-        state = step(state, inst, params, cfg, rng, diags)
+        state = step(state, inst, params, cfg, rng, trace)
         tour = decode_solution(state.x).tour
         if tour is not None:
             r_calc = route_length(tour, inst)
@@ -57,8 +56,7 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
                 iterations=state.t,
                 tour=tour,
                 r_calc=r_calc,
-                ratio=r_calc / (100.0 * inst.n),
-                trace=diags,
+                ratio=r_calc / (MAP_MEAN * inst.n),
                 final_x=state.x,
             )
-    return TrialResult(success=False, iterations=max_iters, trace=diags, final_x=state.x)
+    return TrialResult(success=False, iterations=max_iters, final_x=state.x)

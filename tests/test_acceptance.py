@@ -54,21 +54,18 @@ def stat(s, field, ref, digits):
 
 @pytest.fixture(scope="module")
 def batch_original():
-    return run_batch(20, 200, preset("original"), global_seed=GLOBAL_SEED,
-                     workers=WORKERS, variant_name="original")
+    return run_batch(20, 200, preset("original"), global_seed=GLOBAL_SEED, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
 def batch_improved_1000():
-    return run_batch(20, 1000, preset("improved"), global_seed=GLOBAL_SEED,
-                     workers=WORKERS, variant_name="improved")
+    return run_batch(20, 1000, preset("improved"), global_seed=GLOBAL_SEED, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
 def sweep_improved():
     plan = [(10, 200), (20, 200), (50, 50), (100, 50)]
-    return {n: run_batch(n, trials, preset("improved"), global_seed=GLOBAL_SEED,
-                         workers=WORKERS, variant_name="improved")
+    return {n: run_batch(n, trials, preset("improved"), global_seed=GLOBAL_SEED, workers=WORKERS)
             for n, trials in plan}
 
 
@@ -86,16 +83,14 @@ def test_criterion_01_original_model(batch_original):
 
 
 def test_criterion_02_no_fluctuations_never_solves():
-    s = run_batch(20, 100, preset("a1"), global_seed=GLOBAL_SEED,
-                  workers=WORKERS, variant_name="a1")
+    s = run_batch(20, 100, preset("a1"), global_seed=GLOBAL_SEED, workers=WORKERS)
     ok = s.success_rate == 0.0
     record(2, ok, f"a1 n=20: success={s.success_rate:.3f} (expected exactly 0.000)")
     assert s.success_rate == 0.0
 
 
 def test_criterion_03_normal_fluctuations():
-    s = run_batch(20, 200, preset("a2"), global_seed=GLOBAL_SEED,
-                  workers=WORKERS, variant_name="a2")
+    s = run_batch(20, 200, preset("a2"), global_seed=GLOBAL_SEED, workers=WORKERS)
     ok = within(s.avg_iterations, 1326.8, 0.15) and s.success_rate >= 0.96
     record(3, ok, f"a2 n=20: iters={stat(s, 'avg_iterations', 1326.8, 1)} (1326.8 +-15%), "
                   f"success={stat(s, 'success_rate', 0.96, 3)} (>=0.96)")
@@ -104,16 +99,14 @@ def test_criterion_03_normal_fluctuations():
 
 
 def test_criterion_04_denominator_n():
-    s = run_batch(20, 200, preset("b4"), global_seed=GLOBAL_SEED,
-                  workers=WORKERS, variant_name="b4")
+    s = run_batch(20, 200, preset("b4"), global_seed=GLOBAL_SEED, workers=WORKERS)
     ok = within(s.avg_iterations, 1049.3, 0.15)
     record(4, ok, f"b4 n=20: iters={stat(s, 'avg_iterations', 1049.3, 1)} (1049.3 +-15%)")
     assert within(s.avg_iterations, 1049.3, 0.15), s.avg_iterations
 
 
 def test_criterion_05_constant_contraction():
-    s = run_batch(20, 200, preset("c1"), global_seed=GLOBAL_SEED,
-                  workers=WORKERS, variant_name="c1")
+    s = run_batch(20, 200, preset("c1"), global_seed=GLOBAL_SEED, workers=WORKERS)
     ok = s.success_rate >= 0.99 and within(s.avg_iterations, 974.5, 0.15)
     record(5, ok, f"c1 n=20: success={stat(s, 'success_rate', 0.99, 3)} (>=0.99), "
                   f"iters={stat(s, 'avg_iterations', 974.5, 1)} (974.5 +-15%)")
@@ -122,8 +115,7 @@ def test_criterion_05_constant_contraction():
 
 
 def test_criterion_06_inner_step_function():
-    s = run_batch(20, 200, preset("c3"), global_seed=GLOBAL_SEED,
-                  workers=WORKERS, variant_name="c3")
+    s = run_batch(20, 200, preset("c3"), global_seed=GLOBAL_SEED, workers=WORKERS)
     ok = abs(s.success_rate - 0.46) <= 0.10 and abs(s.avg_ratio - 1.000) <= 0.03
     record(6, ok, f"c3 n=20: success={stat(s, 'success_rate', 0.46, 3)} (0.46 +-0.10), "
                   f"ratio={stat(s, 'avg_ratio', 1.000, 4)} (1.000 +-0.03)")
@@ -238,8 +230,7 @@ def test_criterion_12_oracle_bound():
 def test_criterion_13_bitwise_determinism(sweep_improved):
     reference = sweep_improved[10]
     for workers in (1, 2):
-        redo = run_batch(10, 200, preset("improved"), global_seed=GLOBAL_SEED,
-                         workers=workers, variant_name="improved")
+        redo = run_batch(10, 200, preset("improved"), global_seed=GLOBAL_SEED, workers=workers)
         fields = ["success_rate", "avg_iterations", "std_iterations",
                   "avg_ratio", "std_ratio"]
         same = all(getattr(redo, f) == getattr(reference, f) for f in fields)

@@ -34,10 +34,10 @@ SURFACE = {
     "solve": {"--map": R, "--seed": 0, "--trace": None, "--init-level": None,
               "--max-iters": 3000, **VARIANT},
     "batch": {"--n": None, "--config": None, "--map-policy": "fresh", "--map-seed": None,
-              "--out": R, "--trials": 200, "--global-seed": 0, "--workers": 1,
+              "--out": None, "--trials": 200, "--global-seed": 0, "--workers": 1,
               "--init-level": None, "--max-iters": 3000, **VARIANT},
     "sweep": {"--n-list": None, "--plot-iters": None, "--plot-ratio": None, "--config": None,
-              "--map-policy": "fresh", "--map-seed": None, "--out": R, "--trials": 200,
+              "--map-policy": "fresh", "--map-seed": None, "--out": None, "--trials": 200,
               "--global-seed": 0, "--workers": 1, "--init-level": None, "--max-iters": 3000,
               **VARIANT},
     "fit-scaling": {"--results": R, "--out": R},
@@ -113,11 +113,11 @@ class TestSolve:
         assert len(lines) - 1 == iterations
         # each row is the trial's diagnostics record, every float exact
         inst = load_map(map10)
-        result = run_trial(inst, ParamSet.for_instance(inst), preset("improved"), seed=3,
-                           trace=True)
+        rows = []
+        run_trial(inst, ParamSet.for_instance(inst), preset("improved"), seed=3, trace=rows)
         parsed = [(int(t), int(l_off), *map(float, rest))
                   for t, l_off, *rest in csv.reader(lines[1:])]
-        assert parsed == [dataclasses.astuple(d) for d in result.trace]
+        assert parsed == [dataclasses.astuple(d) for d in rows]
 
     def test_preset_and_elements_conflict(self, map10, capsys):
         # a given element flag conflicts with a preset even at its default value
@@ -334,6 +334,14 @@ class TestBatchSweepFit:
         assert lines[0].startswith("variant,n,trials,success_rate")
         assert len(lines) == 2
 
+    def test_element_flags_of_a_preset_take_its_label(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = run_cli(["batch", "--n", "6", "--element-a", "zero", "--trials", "2",
+                        "--max-iters", "50", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1] == "a1,6,2,0.0,,,,"
+        assert capsys.readouterr().out.startswith("a1 n=6 trials=2: ")
+
     def test_batch_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -495,6 +503,24 @@ class TestConfigFile:
         code = run_cli(["batch", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_OK
         assert out.exists()
+
+    def test_config_may_name_the_output(self, tmp_path):
+        cfg, out = tmp_path / "run.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps({"out": str(out)}))
+        code = run_cli(["batch", "--config", str(cfg), "--n", "6", "--preset", "improved",
+                        "--trials", "2"])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1].startswith("improved,6,2,")
+
+    @pytest.mark.parametrize("argv", [["batch", "--n", "6"], ["sweep", "--n-list", "6,7"]])
+    def test_missing_output_rejected_before_any_batch(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "improved", "trials": 2}))
+        for extra in ([], ["--config", str(cfg)]):
+            assert run_cli(argv + extra) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: --out is required\n"
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         # n_list is a sweep flag, and tri only abbreviates --trials

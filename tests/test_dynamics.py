@@ -512,8 +512,9 @@ class TestInitialState:
         # ever illuminated and branch mass only accrues the hub drip
         inst = generate_map(5, seed=63)
         p = ParamSet.for_instance(inst)
+        rows = []
         r = run_trial(inst, p, preset("original"), seed=1, max_iters=50,
-                      init_level=0.0, trace=True)
+                      init_level=0.0, trace=rows)
         assert not r.success
-        assert all(d.l_off == 25 for d in r.trace)
+        assert all(d.l_off == 25 for d in rows)
         assert np.abs(r.final_x).max() < 0.1

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebatsp.dynamics import ElementA, ElementB, ElementC
+from amoebatsp.dynamics import ElementA, ElementB, ElementC, VariantConfig
 from amoebatsp.harness import (
-    _MAP_STREAM,
-    _TRIAL_STREAM,
     PRESETS,
     AggregateStats,
-    _derive_seed,
     aggregate,
     fit_scaling,
     preset,
     read_results_csv,
     run_batch,
+    trial_seeds,
     write_fit_json,
     write_plot_data,
     write_results_csv,
@@ -65,10 +63,14 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("b9")
 
+    def test_configurations_pairwise_distinct(self):
+        # a batch's label is the preset whose configuration equals its own
+        assert len(set(PRESETS.values())) == len(PRESETS)
+
 
 class TestRunBatch:
     def test_deterministic(self):
-        kwargs = dict(global_seed=5, variant_name="improved")
+        kwargs = dict(global_seed=5)
         a = run_batch(10, 8, preset("improved"), **kwargs)
         b = run_batch(10, 8, preset("improved"), **kwargs)
         assert a == b
@@ -108,14 +110,26 @@ class TestRunBatch:
         assert ([(r.iterations, r.tour) for r in a.per_trial]
                 == [(r.iterations, r.tour) for r in b.per_trial])
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_batch_labelled_by_its_preset(self, name):
+        assert run_batch(6, 1, PRESETS[name], global_seed=0, max_iters=5).variant == name
+
+    @pytest.mark.parametrize("cfg", [
+        VariantConfig(element_b=ElementB.SCALE_I),
+        VariantConfig(element_a=ElementA.NORMAL, normal_sd=0.005),
+        VariantConfig(element_c=frozenset({ElementC.O_CONST, ElementC.L_INNER_STEP})),
+    ])
+    def test_batch_of_no_preset_labelled_custom(self, cfg):
+        assert run_batch(6, 1, cfg, global_seed=0, max_iters=5).variant == "custom"
+
     def test_trial_seed_derivation_contract(self):
         # batch trial i must equal a hand-built trial with the derived seeds
         stats = run_batch(10, 3, preset("improved"), global_seed=9, keep_trials=True)
         for i, recorded in enumerate(stats.per_trial):
-            inst = generate_map(10, _derive_seed(9, i, _MAP_STREAM))
+            map_seed, trial_seed = trial_seeds(9, i)
+            inst = generate_map(10, map_seed)
             params = ParamSet.for_instance(inst)
-            redo = run_trial(inst, params, preset("improved"),
-                             seed=_derive_seed(9, i, _TRIAL_STREAM))
+            redo = run_trial(inst, params, preset("improved"), seed=trial_seed)
             assert redo.iterations == recorded.iterations
             assert redo.tour == recorded.tour
 
@@ -125,8 +139,7 @@ class TestRunBatch:
         inst = generate_map(10, 77)
         params = ParamSet.for_instance(inst)
         for i, recorded in enumerate(stats.per_trial):
-            redo = run_trial(inst, params, preset("improved"),
-                             seed=_derive_seed(2, i, _TRIAL_STREAM))
+            redo = run_trial(inst, params, preset("improved"), seed=trial_seeds(2, i)[1])
             assert redo.iterations == recorded.iterations
 
     def test_bad_policy_rejected(self):
@@ -153,8 +166,7 @@ class TestVariantOrdering:
         # the original, with the hard inner step slowest
         means = {}
         for name in ("c1", "b4", "a2", "original", "c3"):
-            s = run_batch(20, 20, preset(name), global_seed=17, workers=2,
-                          variant_name=name)
+            s = run_batch(20, 20, preset(name), global_seed=17, workers=2)
             assert s.avg_iterations is not None
             means[name] = s.avg_iterations
         assert means["c1"] < means["b4"] < means["a2"] < means["original"] < means["c3"]

@@ -76,10 +76,10 @@ class TestRunTrial:
 
     def test_trace_row_per_iteration(self, small):
         inst, p = small
-        r = run_trial(inst, p, preset("improved"), seed=2, trace=True)
-        assert r.trace is not None
-        assert len(r.trace) == r.iterations
-        assert [d.t for d in r.trace] == list(range(1, r.iterations + 1))
+        rows = []
+        r = run_trial(inst, p, preset("improved"), seed=2, trace=rows)
+        assert len(rows) == r.iterations
+        assert [d.t for d in rows] == list(range(1, r.iterations + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(3, 12),
@@ -89,16 +89,22 @@ class TestRunTrial:
         inst = generate_map(n, map_seed)
         p = ParamSet.for_instance(inst)
         plain = run_trial(inst, p, preset(name), seed=seed, max_iters=150)
-        traced = run_trial(inst, p, preset(name), seed=seed, max_iters=150, trace=True)
+        rows = []
+        traced = run_trial(inst, p, preset(name), seed=seed, max_iters=150, trace=rows)
         assert (traced.success, traced.iterations, traced.tour) == \
             (plain.success, plain.iterations, plain.tour)
         assert traced.final_x.tobytes() == plain.final_x.tobytes()
-        assert len(traced.trace) == traced.iterations
-        assert traced.trace[-1].sum_x == float(traced.final_x.sum())
+        assert len(rows) == traced.iterations
+        assert rows[-1].sum_x == float(traced.final_x.sum())
 
-    def test_trace_off_by_default(self, small):
+    def test_trace_off_by_default(self, small, monkeypatch):
+        # an untraced trial builds no per-step record
+        def no_row(*args):
+            raise AssertionError("an untraced step built a StepDiagnostics row")
+
+        monkeypatch.setattr("amoebatsp.dynamics.StepDiagnostics", no_row)
         inst, p = small
-        assert run_trial(inst, p, preset("improved"), seed=2).trace is None
+        assert run_trial(inst, p, preset("improved"), seed=2).success
 
     def test_different_seeds_explore_differently(self, small):
         inst, p = small

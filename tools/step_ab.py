@@ -54,8 +54,7 @@ def trajectories(pkg) -> tuple[dict, dict]:
     for name, cfg in pkg.harness.PRESETS.items():
         for n in SIZES:
             stats = pkg.harness.run_batch(n, TRIALS, cfg, global_seed=GLOBAL_SEED,
-                                          max_iters=MAX_ITERS, workers=WORKERS,
-                                          variant_name=name, keep_trials=True)
+                                          max_iters=MAX_ITERS, workers=WORKERS, keep_trials=True)
             for index, r in enumerate(stats.per_trial):
                 trials[name, n, index] = (repr((name, n, r.success, r.iterations, r.tour)).encode(),
                                           r.final_x.tobytes())
