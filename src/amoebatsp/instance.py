@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,18 +37,19 @@ class GenMeta:
 
 @dataclass(frozen=True)
 class TspInstance:
-    """City count plus symmetric distance matrix; immutable once built."""
+    """Symmetric distance matrix, immutable once built; n is its side."""
 
-    n: int
+    n: int = field(init=False)
     dist: np.ndarray
     gen_meta: GenMeta | None = None
 
     def __post_init__(self):
+        d = np.array(self.dist, dtype=float)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+        object.__setattr__(self, "n", len(d))
         if self.n < 3:
             raise ValueError(f"need at least 3 cities, got n={self.n}")
-        d = np.array(self.dist, dtype=float)
-        if d.shape != (self.n, self.n):
-            raise ValueError(f"distance matrix shape {d.shape} != ({self.n}, {self.n})")
         if not np.isfinite(d).all():
             raise ValueError("distances must be finite")
         if not np.array_equal(d, d.T):
@@ -94,8 +95,10 @@ def generate_map(n: int, seed: int, mean: float = MAP_MEAN, sd: float = MAP_SD) 
     """
     if n < 3:
         raise ValueError(f"need at least 3 cities, got n={n}")
-    if sd < 0:
-        raise ValueError("sd must be nonnegative")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not 0 <= sd < math.inf:
+        raise ValueError(f"sd must be finite and nonnegative, got {sd}")
     if sd == 0 and mean <= 0:
         raise ValueError("degenerate map needs a positive mean")
     rng = np.random.default_rng(seed)
@@ -111,7 +114,7 @@ def generate_map(n: int, seed: int, mean: float = MAP_MEAN, sd: float = MAP_SD) 
     dist = np.zeros((n, n))
     dist[np.triu_indices(n, 1)] = draws
     dist = dist + dist.T
-    return TspInstance(n=n, dist=dist, gen_meta=GenMeta(seed=seed, mean=mean, sd=sd))
+    return TspInstance(dist, GenMeta(seed=seed, mean=mean, sd=sd))
 
 
 def max_two_edge_path(inst: TspInstance) -> float:
@@ -125,14 +128,13 @@ def max_two_edge_path(inst: TspInstance) -> float:
         return float(np.partition(inst.dist, -2, axis=1)[:, -2:].sum(axis=1).max())
 
 
-def round_down_sigfigs(x: float, figs: int = 3) -> float:
-    """Round a positive finite value down to the given significant figures.
+def round_down_sigfigs(x: float) -> float:
+    """Round a positive finite value down to 3 significant figures.
 
     Ratios within 1e-9 of an integer count as that integer, so values that
     are exact up to float representation (0.0025 -> 250e-5) survive intact.
     """
-    exp = math.floor(math.log10(x))
-    scale = 10.0 ** (exp - figs + 1)
+    scale = 10.0 ** (math.floor(math.log10(x)) - 2)
     ratio = x / scale
     q = math.floor(ratio)
     if (q + 1) - ratio < 1e-9:
@@ -152,7 +154,7 @@ def compute_nu(inst: TspInstance) -> float:
     if not 0 < limit / path < math.inf:
         raise ValueError(
             f"distances are too small or too large to calibrate nu (longest two-edge path {path})")
-    nu = round_down_sigfigs(limit / path, 3)
+    nu = round_down_sigfigs(limit / path)
     while nu * path > limit:
         nu = float(np.nextafter(nu, 0.0))
     return nu
@@ -244,4 +246,4 @@ def load_map(path) -> TspInstance:
         raise ValueError(f"need at least 3 cities, got n={n}")
     if len(flat) != n * n:
         raise ValueError(f"dist must be a flat list of {n * n} entries")
-    return TspInstance(n=n, dist=np.reshape(flat, (n, n)), gen_meta=meta)
+    return TspInstance(np.reshape(flat, (n, n)), meta)

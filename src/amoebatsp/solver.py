@@ -15,14 +15,21 @@ DEFAULT_MAX_ITERS = 3000
 
 @dataclass
 class TrialResult:
-    """Outcome of one trial; tour and ratios present only on success."""
+    """Outcome of one trial; tour and route length present only on success."""
 
-    success: bool
     iterations: int
     tour: tuple[int, ...] | None = None
     r_calc: float | None = None
-    ratio: float | None = None
     final_x: np.ndarray | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.tour is not None
+
+    @property
+    def ratio(self) -> float | None:
+        """Route length over MAP_MEAN * n, the mean random-tour length."""
+        return None if self.tour is None else self.r_calc / (MAP_MEAN * len(self.tour))
 
 
 def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int,
@@ -34,8 +41,7 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
     Refuses to run with an uncalibrated nu (constraint penalties must
     dominate any two-edge path cost). Termination is checked after every
     full step; each step appends its StepDiagnostics row to a trace list.
-    The ratio is the route length over MAP_MEAN * n, the mean random-tour
-    length of generated maps. Deterministic for fixed inputs.
+    Deterministic for fixed inputs.
     """
     if not params.is_calibrated(inst):
         raise ValueError(
@@ -50,13 +56,5 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
         state = step(state, inst, params, cfg, rng, trace)
         tour = decode_solution(state.x).tour
         if tour is not None:
-            r_calc = route_length(tour, inst)
-            return TrialResult(
-                success=True,
-                iterations=state.t,
-                tour=tour,
-                r_calc=r_calc,
-                ratio=r_calc / (MAP_MEAN * inst.n),
-                final_x=state.x,
-            )
-    return TrialResult(success=False, iterations=max_iters, final_x=state.x)
+            return TrialResult(state.t, tour, route_length(tour, inst), state.x)
+    return TrialResult(max_iters, final_x=state.x)

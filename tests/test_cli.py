@@ -84,6 +84,16 @@ class TestGenMap:
         code = run_cli(["gen-map", "--n", "2", "--seed", "1", "--out", str(out)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [("--sd", "nan"), ("--mean", "nan"), ("--sd", "inf")])
+    def test_nonfinite_parameter_named(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "g.json"
+        code = run_cli(["gen-map", "--n", "4", "--seed", "1", flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be finite") and err.count("\n") == 1
+        assert err.endswith(f"got {value}\n")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_improved_preset_succeeds(self, map10, capsys):

@@ -466,7 +466,7 @@ class TestEquivariance:
         rng = np.random.default_rng(2)
         x = rng.uniform(0.3, 0.8, (7, 7))
         perm = np.array([3, 0, 6, 1, 5, 2, 4])
-        inst_p = TspInstance(n=7, dist=np.asarray(inst.dist)[np.ix_(perm, perm)])
+        inst_p = TspInstance(np.asarray(inst.dist)[np.ix_(perm, perm)])
         assert ParamSet.for_instance(inst_p).nu == p.nu  # calibration is label-free
 
         a = step(AmoebaState(x=x[perm], stock=0.0, t=0), inst_p, p, NOISELESS,

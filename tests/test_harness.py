@@ -175,9 +175,9 @@ class TestVariantOrdering:
 class TestAggregate:
     def test_averages_over_successes_only(self):
         results = [
-            TrialResult(success=True, iterations=100, ratio=0.9),
-            TrialResult(success=False, iterations=3000),
-            TrialResult(success=True, iterations=200, ratio=0.8),
+            TrialResult(100, (0, 1, 2), 270.0),
+            TrialResult(3000),
+            TrialResult(200, (2, 0, 1), 240.0),
         ]
         s = aggregate(results, "x", 10)
         assert s.success_rate == pytest.approx(2 / 3)
@@ -186,7 +186,7 @@ class TestAggregate:
         assert s.std_iterations == pytest.approx(np.std([100, 200], ddof=1))
 
     def test_empty_success_set_marks_absent(self):
-        results = [TrialResult(success=False, iterations=3000)] * 4
+        results = [TrialResult(3000)] * 4
         s = aggregate(results, "a1", 20)
         assert s.success_rate == 0.0
         assert s.avg_iterations is None
@@ -194,7 +194,7 @@ class TestAggregate:
         assert s.std_iterations is None
 
     def test_single_success_has_no_std(self):
-        results = [TrialResult(success=True, iterations=10, ratio=0.9)]
+        results = [TrialResult(10, (0, 1, 2), 270.0)]
         s = aggregate(results, "x", 5)
         assert s.avg_iterations == 10.0
         assert s.std_iterations is None

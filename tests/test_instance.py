@@ -32,7 +32,7 @@ from oracles import brute_force_optimum, cost_function, cost_weight, coupling_fi
 def uniform_instance(n, d=100.0):
     dist = np.full((n, n), d)
     np.fill_diagonal(dist, 0.0)
-    return TspInstance(n=n, dist=dist)
+    return TspInstance(dist)
 
 
 class TestGenerateMap:
@@ -66,6 +66,21 @@ class TestGenerateMap:
         with pytest.raises(ValueError, match="at least 3 cities"):
             generate_map(2, seed=0)
 
+    @pytest.mark.parametrize("mean, sd, message", [
+        (float("nan"), 17.0, "mean must be finite, got nan"),
+        (float("inf"), 17.0, "mean must be finite, got inf"),
+        (100.0, float("nan"), "sd must be finite and nonnegative, got nan"),
+        (100.0, float("inf"), "sd must be finite and nonnegative, got inf"),
+        (100.0, -1.0, "sd must be finite and nonnegative, got -1.0"),
+    ], ids=["mean-nan", "mean-inf", "sd-nan", "sd-inf", "sd-negative"])
+    def test_nonfinite_parameters_named(self, mean, sd, message):
+        # refused before any draw, naming the parameter, not later by
+        # TspInstance as a non-finite distance
+        with mock.patch("numpy.random.default_rng", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError) as exc:
+                generate_map(4, seed=1, mean=mean, sd=sd)
+        assert str(exc.value) == message
+
     def test_many_random_maps_valid(self):
         for seed in range(30):
             inst = generate_map(5, seed=seed, mean=5.0, sd=10.0)  # resampling exercised
@@ -89,7 +104,7 @@ class TestComputeNu:
                 for v1, v2, v3 in itertools.permutations(range(inst.n), 3)
             )
             assert max_two_edge_path(inst) == worst
-            assert compute_nu(inst) == round_down_sigfigs(0.5 / worst, 3)
+            assert compute_nu(inst) == round_down_sigfigs(0.5 / worst)
 
     def test_default_map_magnitude(self):
         nu = compute_nu(generate_map(20, seed=1))
@@ -106,7 +121,7 @@ class TestComputeNu:
         dist = np.zeros((n, n))
         dist[np.triu_indices(n, 1)] = upper * 10.0 ** k
         try:
-            inst = TspInstance(n=n, dist=dist + dist.T)
+            inst = TspInstance(dist + dist.T)
             p = ParamSet.for_instance(inst)
         except ValueError as exc:
             assert str(exc).startswith(self.REFUSALS), exc
@@ -328,7 +343,7 @@ class TestBruteForce:
         np.fill_diagonal(dist, 0.0)
         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
             dist[a, b] = dist[b, a] = 1.0
-        inst = TspInstance(n=4, dist=dist)
+        inst = TspInstance(dist)
         tour, length = brute_force_optimum(inst)
         assert length == pytest.approx(4.0)
         assert tour in ((0, 1, 2, 3), (0, 3, 2, 1))
@@ -403,7 +418,7 @@ class TestMapIO:
         upper = data.draw(arrays(float, n * (n - 1) // 2, elements=st.floats(1e-6, 1e9)))
         dist = np.zeros((n, n))
         dist[np.triu_indices(n, 1)] = upper
-        inst = TspInstance(n=n, dist=dist + dist.T, gen_meta=meta)
+        inst = TspInstance(dist + dist.T, meta)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.json"
             save_map(inst, path)
@@ -419,7 +434,7 @@ class TestInstanceValidation:
         np.fill_diagonal(dist, 0.0)
         dist[0, 1] = 99.0
         with pytest.raises(ValueError, match="symmetric"):
-            TspInstance(n=4, dist=dist)
+            TspInstance(dist)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_distance_rejected(self, bad):
@@ -427,14 +442,26 @@ class TestInstanceValidation:
         np.fill_diagonal(dist, 0.0)
         dist[0, 1] = dist[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            TspInstance(n=4, dist=dist)
+            TspInstance(dist)
 
     def test_nonpositive_offdiagonal_rejected(self):
         dist = np.full((4, 4), 10.0)
         np.fill_diagonal(dist, 0.0)
         dist[0, 1] = dist[1, 0] = 0.0
         with pytest.raises(ValueError, match="off-diagonal distances must be positive"):
-            TspInstance(n=4, dist=dist)
+            TspInstance(dist)
+
+    @pytest.mark.parametrize("dist", [np.zeros((3, 4)), np.zeros(9), np.zeros((2, 2, 2))],
+                             ids=["3x4", "1-d", "3-d"])
+    def test_non_square_matrix_rejected(self, dist):
+        with pytest.raises(ValueError) as exc:
+            TspInstance(dist)
+        assert str(exc.value) == f"distance matrix must be square, got shape {dist.shape}"
+
+    def test_city_count_is_the_side_of_the_matrix(self):
+        assert uniform_instance(5).n == 5
+        with pytest.raises(TypeError):
+            TspInstance(n=5, dist=uniform_instance(5).dist)
 
     def test_instance_immutable(self):
         inst = generate_map(5, seed=1)

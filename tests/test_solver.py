@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from amoebatsp.dynamics import DELTA_IN, initial_level
 from amoebatsp.harness import PRESETS, preset
 from amoebatsp.instance import ParamSet, decode_solution, generate_map, route_length
-from amoebatsp.solver import run_trial
+from amoebatsp.solver import TrialResult, run_trial
 from oracles import brute_force_optimum
 
 
@@ -45,6 +45,38 @@ class TestRunTrial:
         assert not r.success
         assert r.iterations == 300
         assert r.tour is None and r.r_calc is None and r.ratio is None
+
+    # improved and c1, the presets that solve within 300 iterations, are
+    # drawn more often than the rest, so that both branches are reached
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["c1", "improved"]) | st.sampled_from(sorted(PRESETS)),
+           n=st.integers(3, 10), map_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1), max_iters=st.integers(1, 300))
+    def test_result_invariants(self, name, n, map_seed, seed, max_iters):
+        # every trial passes the output checks the benchmark runs on each trial
+        inst = generate_map(n, map_seed)
+        r = run_trial(inst, ParamSet.for_instance(inst), preset(name), seed=seed,
+                      max_iters=max_iters)
+        if r.success:
+            assert sorted(r.tour) == list(range(n))
+            assert decode_solution(r.final_x).tour == r.tour
+            assert r.r_calc == route_length(r.tour, inst)
+            assert r.ratio == r.r_calc / (100.0 * n)
+            assert r.iterations <= max_iters
+        else:
+            assert r.tour is None and r.r_calc is None and r.ratio is None
+            assert r.iterations == max_iters
+            assert decode_solution(r.final_x).tour is None
+
+    def test_success_and_ratio_are_derived(self):
+        solved, unsolved = TrialResult(5, (0, 2, 1), 330.0), TrialResult(5)
+        assert solved.success and solved.ratio == 330.0 / 300.0
+        assert not unsolved.success and unsolved.ratio is None
+        for name in ("success", "ratio"):
+            with pytest.raises(TypeError):
+                TrialResult(iterations=5, **{name: None})
+            with pytest.raises(AttributeError):
+                setattr(solved, name, None)
 
     def test_budget_prefix_stability(self, small):
         inst, p = small
