@@ -102,9 +102,9 @@ class VariantConfig:
                 raise ValueError(f"unknown element_c flag: {flag!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class AmoebaState:
-    """Branch lengths, stock, and iteration counter for one run."""
+    """Branch lengths, stock, and iteration counter for one run; equal only to itself."""
 
     x: np.ndarray
     stock: float = 0.0

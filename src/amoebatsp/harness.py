@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -25,13 +25,10 @@ from .solver import DEFAULT_MAX_ITERS, TrialResult, run_trial
 _MAP_STREAM = 0x6D61
 _TRIAL_STREAM = 0x7472
 
-RESULTS_CSV_HEADER = ["variant", "n", "trials", "success_rate", "avg_iterations",
-                      "std_iterations", "avg_ratio", "std_ratio"]
-
 
 @dataclass
 class AggregateStats:
-    """Batch-level outcome; averages cover successful trials only."""
+    """One batch, compared and printed as its CSV row; averages cover solved trials only."""
 
     variant: str
     n: int
@@ -41,7 +38,10 @@ class AggregateStats:
     std_iterations: float | None
     avg_ratio: float | None
     std_ratio: float | None
-    per_trial: list[TrialResult] | None = None
+    per_trial: list[TrialResult] | None = field(default=None, compare=False, repr=False)
+
+
+RESULTS_CSV_HEADER = [f.name for f in fields(AggregateStats) if f.compare]
 
 
 @dataclass

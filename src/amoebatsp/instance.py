@@ -35,9 +35,9 @@ class GenMeta:
     sd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TspInstance:
-    """Symmetric distance matrix, immutable once built; n is its side."""
+    """Symmetric distance matrix, immutable once built; n is its side. Equal only to itself."""
 
     n: int = field(init=False)
     dist: np.ndarray

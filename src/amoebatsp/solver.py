@@ -13,9 +13,9 @@ from .instance import MAP_MEAN, ParamSet, TspInstance, decode_solution, route_le
 DEFAULT_MAX_ITERS = 3000
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialResult:
-    """Outcome of one trial; tour and route length present only on success."""
+    """Outcome of one trial, equal only to itself; tour and route length only on success."""
 
     iterations: int
     tour: tuple[int, ...] | None = None

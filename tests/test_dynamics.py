@@ -495,6 +495,8 @@ class TestInitialState:
         state = AmoebaState.initial(6)
         assert (state.x == initial_level(6)).all()
         assert state.stock == 0.0 and state.t == 0
+        # == is identity and never raises on the arrays
+        assert (state == AmoebaState.initial(6)) is False and state == state
 
     def test_size_rule_holds_summed_inner_response(self):
         # the n=20 start is the calibrated default level, and every size

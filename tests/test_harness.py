@@ -1,8 +1,11 @@
 """Batches, sweeps, presets, aggregation rules, and the scaling fit."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amoebatsp.dynamics import ElementA, ElementB, ElementC, VariantConfig
@@ -232,9 +235,16 @@ class TestFitScaling:
 
 class TestCsvAndJson:
     def test_results_roundtrip(self, tmp_path):
+        # a kept batch compares and prints as its row: per_trial is neither
+        # compared nor in its repr, so it equals its read-back
+        kept = run_batch(6, 3, preset("improved"), global_seed=0, max_iters=300,
+                         keep_trials=True)
+        assert len(kept.per_trial) == 3
+        assert "array(" not in repr(kept) and "per_trial" not in repr(kept)
         stats = [
             AggregateStats("original", 20, 200, 0.97, 2215.5, 401.25, 0.9264, 0.031),
             AggregateStats("a1", 20, 100, 0.0, None, None, None, None),
+            kept,
         ]
         path = tmp_path / "r.csv"
         write_results_csv(stats, path)
@@ -243,6 +253,25 @@ class TestCsvAndJson:
                           "std_iterations,avg_ratio,std_ratio")
         back = read_results_csv(path)
         assert back == stats
+
+    _average = st.none() | st.floats(allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.builds(
+        AggregateStats, variant=st.sampled_from(sorted(PRESETS) + ["custom"]),
+        n=st.integers(3, 10**9), trials=st.integers(1, 10**9),
+        success_rate=st.floats(0.0, 1.0), avg_iterations=_average,
+        std_iterations=_average, avg_ratio=_average, std_ratio=_average), max_size=5))
+    @example(rows=[AggregateStats("custom", 3, 1, 5e-324, None, None, None, None),
+                   AggregateStats("a1", 10**6, 7, 1 / 7, 1.7976931348623157e308, 5e-324,
+                                  1.1125369292536007e-308, 1e-300)])
+    def test_results_roundtrip_property(self, rows):
+        # the writer's shortest-repr cells read back to the same floats,
+        # subnormal and near-overflow ones included; None is an empty cell
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            write_results_csv(rows, path)
+            assert read_results_csv(path) == rows
 
     def test_fit_json(self, tmp_path):
         import json

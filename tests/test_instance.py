@@ -467,3 +467,11 @@ class TestInstanceValidation:
         inst = generate_map(5, seed=1)
         with pytest.raises(ValueError):
             inst.dist[0, 1] = 5.0
+
+    def test_compared_and_hashed_by_identity(self):
+        # two draws of one map are distinct objects; neither == nor hash
+        # looks inside the distance matrix, so a map can key a dict
+        a, b = generate_map(4, 1), generate_map(4, 1)
+        assert (a == b) is False and a != b
+        assert a == a and hash(a) == hash(a)
+        assert {a} == {a} and len({a, b}) == 2

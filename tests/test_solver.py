@@ -28,6 +28,8 @@ class TestRunTrial:
         assert a.tour == b.tour
         assert a.ratio == b.ratio
         assert np.array_equal(a.final_x, b.final_x)
+        # equal outcomes, yet distinct results: == is identity and never raises
+        assert (a == b) is False and a == a
 
     def test_success_invariants(self, small):
         inst, p = small
