@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from multiprocessing import Pool
@@ -141,8 +142,9 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
     map_policy "fresh" draws a new map per trial (nu recalibrated each time)
     and refuses a map_seed; "fixed" reuses one map seeded by map_seed
     (derived from global_seed when omitted). init_level None starts every
-    trial at initial_level(n). keep_trials attaches the trial results, final
-    states included, as per_trial. The label is cfg's PRESETS name or "custom".
+    trial at initial_level(n). The pool holds no more workers than trials or
+    CPUs. keep_trials attaches the trial results, final states included, as
+    per_trial. The label is cfg's PRESETS name or "custom".
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -156,7 +158,7 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
         map_seed = _derive_seed(global_seed, _MAP_STREAM)
     job = partial(_trial, n=n, cfg=cfg, global_seed=global_seed, map_seed=map_seed,
                   max_iters=max_iters, init_level=init_level, keep_trials=keep_trials)
-    workers = min(workers, trials)
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(job, range(trials))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +72,22 @@ class ParamSet:
 
     @classmethod
     def for_instance(cls, inst: TspInstance) -> "ParamSet":
-        """nu calibrated for the given map."""
-        return cls(nu=compute_nu(inst))
+        """nu calibrated for the given map: min(LAM, MU) over the worst
+        two-edge path, rounded down to 3 significant figures.
+
+        Where that rounding lands above the exact quotient (250 * 1e-9 is
+        2.5000000000000004e-07), nu steps down by ulps until the map is
+        calibrated. Distances whose quotient is zero or infinite cannot be
+        calibrated and are refused.
+        """
+        limit, path = min(LAM, MU), max_two_edge_path(inst)
+        if not 0 < limit / path < math.inf:
+            raise ValueError(
+                f"distances are too small or too large to calibrate nu (longest two-edge path {path})")
+        params = cls(round_down_sigfigs(limit / path))
+        while not params.is_calibrated(inst):
+            params = cls(float(np.nextafter(params.nu, 0.0)))
+        return params
 
     def is_calibrated(self, inst: TspInstance) -> bool:
         """True iff nu * (largest two-edge path) <= min(LAM, MU)."""
@@ -142,24 +156,6 @@ def round_down_sigfigs(x: float) -> float:
     return q * scale
 
 
-def compute_nu(inst: TspInstance) -> float:
-    """Distance-cost weight: min(LAM, MU) over the worst two-edge path.
-
-    Rounded down to 3 significant figures. Where that rounding lands above
-    the exact quotient (250 * 1e-9 is 2.5000000000000004e-07), nu steps
-    down by ulps until the calibration inequality holds. Distances whose
-    quotient is zero or infinite cannot be calibrated and are refused.
-    """
-    limit, path = min(LAM, MU), max_two_edge_path(inst)
-    if not 0 < limit / path < math.inf:
-        raise ValueError(
-            f"distances are too small or too large to calibrate nu (longest two-edge path {path})")
-    nu = round_down_sigfigs(limit / path)
-    while nu * path > limit:
-        nu = float(np.nextafter(nu, 0.0))
-    return nu
-
-
 def coupling_field(y: np.ndarray, params: ParamSet, inst: TspInstance) -> np.ndarray:
     """Per lane (v, k), the sum over (u, l) of cost_weight(v, k, u, l) * y[u, l],
     with cost_weight the literal per-pair oracle in tests/oracles.py.
@@ -204,9 +200,7 @@ def route_length(tour, inst: TspInstance) -> float:
 
 def save_map(inst: TspInstance, path) -> None:
     """Write a map as JSON: n, row-major flat distances, generation record."""
-    gen = None
-    if inst.gen_meta is not None:
-        gen = {"seed": inst.gen_meta.seed, "mean": inst.gen_meta.mean, "sd": inst.gen_meta.sd}
+    gen = None if inst.gen_meta is None else asdict(inst.gen_meta)
     payload = {"n": inst.n, "dist": [float(x) for x in inst.dist.ravel()], "gen": gen}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 

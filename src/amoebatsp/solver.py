@@ -44,8 +44,7 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
     Deterministic for fixed inputs.
     """
     if not params.is_calibrated(inst):
-        raise ValueError(
-            "nu is not calibrated for this map; use ParamSet.for_instance or compute_nu")
+        raise ValueError("nu is not calibrated for this map; use ParamSet.for_instance")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if init_level is not None and not math.isfinite(init_level):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from amoebatsp.dynamics import ElementA, ElementB, ElementC, VariantConfig
 from amoebatsp.harness import (
     PRESETS,
+    REFERENCE_IMPROVED_SWEEP,
     AggregateStats,
     aggregate,
     fit_scaling,
@@ -25,11 +26,8 @@ from amoebatsp.harness import (
 from amoebatsp.instance import ParamSet, generate_map
 from amoebatsp.solver import TrialResult, run_trial
 
-# reference sweep column used as a fixture for the fit
-SWEEP_COLUMN = [(10, 199.5), (11, 201.3), (12, 211.1), (13, 219.1), (14, 229.0),
-                (15, 235.8), (16, 247.0), (17, 253.2), (18, 260.4), (19, 269.3),
-                (20, 276.3), (30, 341.5), (40, 393.3), (50, 437.7), (60, 479.5),
-                (70, 515.9), (80, 550.6), (90, 581.4), (100, 622.2)]
+# reference sweep column (n, mean iterations) used as a fixture for the fit
+SWEEP_COLUMN = [(n, iters) for n, (_, iters, _) in REFERENCE_IMPROVED_SWEEP.items()]
 
 
 def stats_from_points(points):
@@ -90,28 +88,39 @@ class TestRunBatch:
         b = run_batch(n, trials, PRESETS[name], workers=workers, **kwargs)
         assert ([(r.iterations, r.tour, r.final_x.tobytes()) for r in a.per_trial]
                 == [(r.iterations, r.tour, r.final_x.tobytes()) for r in b.per_trial])
-        assert a.success_rate == b.success_rate
-        assert a.avg_iterations == b.avg_iterations
-        assert a.std_iterations == b.std_iterations
-        assert a.avg_ratio == b.avg_ratio
-        assert a.std_ratio == b.std_ratio
+        assert a == b
 
-    def test_pool_no_larger_than_the_batch(self, monkeypatch):
+    @staticmethod
+    def record_pools(monkeypatch, cpus):
+        """Pin os.cpu_count to cpus and return the list of Pool sizes opened."""
         import amoebatsp.harness as harness
 
         sizes = []
+        real_pool = harness.Pool
 
         def recording_pool(processes):
             sizes.append(processes)
             return real_pool(processes)
 
-        real_pool = harness.Pool
         monkeypatch.setattr(harness, "Pool", recording_pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        return sizes
+
+    def test_pool_no_larger_than_the_batch(self, monkeypatch):
+        sizes = self.record_pools(monkeypatch, cpus=4)
         a = run_batch(10, 2, preset("improved"), global_seed=3, workers=4, keep_trials=True)
         b = run_batch(10, 2, preset("improved"), global_seed=3, workers=1, keep_trials=True)
         assert sizes == [2]
         assert ([(r.iterations, r.tour) for r in a.per_trial]
                 == [(r.iterations, r.tour) for r in b.per_trial])
+
+    def test_pool_no_larger_than_the_cpu_count(self, monkeypatch):
+        sizes = self.record_pools(monkeypatch, cpus=2)
+        a = run_batch(6, 8, preset("improved"), global_seed=3, workers=64, keep_trials=True)
+        b = run_batch(6, 8, preset("improved"), global_seed=3, workers=1, keep_trials=True)
+        assert sizes == [2]
+        assert ([(r.iterations, r.tour, r.final_x.tobytes()) for r in a.per_trial]
+                == [(r.iterations, r.tour, r.final_x.tobytes()) for r in b.per_trial])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_batch_labelled_by_its_preset(self, name):

@@ -16,7 +16,6 @@ from amoebatsp.instance import (
     GenMeta,
     ParamSet,
     TspInstance,
-    compute_nu,
     coupling_field,
     decode_solution,
     generate_map,
@@ -89,12 +88,12 @@ class TestGenerateMap:
 
 
 class TestComputeNu:
-    # what TspInstance and compute_nu say when a map's scale is out of reach
+    # what TspInstance and ParamSet.for_instance say when a map's scale is out of reach
     REFUSALS = ("distances must be finite", "off-diagonal distances must be positive",
                 "distances are too small or too large to calibrate nu")
 
     def test_uniform_three_city(self):
-        assert compute_nu(uniform_instance(3)) == pytest.approx(0.0025)
+        assert ParamSet.for_instance(uniform_instance(3)).nu == pytest.approx(0.0025)
 
     def test_matches_triple_enumeration(self):
         maps = [generate_map(n, seed=5) for n in range(3, 9)] + [generate_map(6, seed=0, sd=0.0)]
@@ -104,10 +103,10 @@ class TestComputeNu:
                 for v1, v2, v3 in itertools.permutations(range(inst.n), 3)
             )
             assert max_two_edge_path(inst) == worst
-            assert compute_nu(inst) == round_down_sigfigs(0.5 / worst)
+            assert ParamSet.for_instance(inst).nu == round_down_sigfigs(0.5 / worst)
 
     def test_default_map_magnitude(self):
-        nu = compute_nu(generate_map(20, seed=1))
+        nu = ParamSet.for_instance(generate_map(20, seed=1)).nu
         assert 1e-3 <= nu <= 2e-3
 
     @settings(max_examples=200, deadline=None)
@@ -115,7 +114,7 @@ class TestComputeNu:
     def test_calibration_inequality_holds(self, n, k, data):
         # maps at every decimal scale a float reaches, from subnormal to
         # overflowing: each is calibrated or refused by TspInstance or
-        # compute_nu, never by a stray error such as a math domain error
+        # ParamSet.for_instance, never by a stray error such as a math domain error
         upper = data.draw(arrays(float, n * (n - 1) // 2,
                                  elements=st.floats(1.0, 10.0, exclude_max=True)))
         dist = np.zeros((n, n))
@@ -126,13 +125,16 @@ class TestComputeNu:
         except ValueError as exc:
             assert str(exc).startswith(self.REFUSALS), exc
             return
+        # checked directly as well as through is_calibrated, which the
+        # calibration loop itself asks
+        assert p.nu * max_two_edge_path(inst) <= 0.5
         assert p.is_calibrated(inst)
 
     def test_rounding_close_to_exact(self):
         for seed in range(10):
             inst = generate_map(7, seed=seed)
             exact = 0.5 / max_two_edge_path(inst)
-            nu = compute_nu(inst)
+            nu = ParamSet.for_instance(inst).nu
             assert nu <= exact
             assert nu >= 0.99 * exact  # 3 significant figures
 
