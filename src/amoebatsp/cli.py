@@ -57,14 +57,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _variant(args) -> VariantConfig:
-    """Variant configuration from --preset or the element flags."""
+    """Variant configuration from --preset or the element flags, started at --init-level."""
     given = {key: convert(getattr(args, key)) for key, convert in ELEMENT_FIELDS.items()
              if getattr(args, key) is not None}
     if args.preset is None:
-        return VariantConfig(**given)
+        return VariantConfig(**given, init_level=args.init_level)
     if given:
         raise ValueError("--preset and explicit element flags are mutually exclusive")
-    return preset(args.preset)
+    return dataclasses.replace(preset(args.preset), init_level=args.init_level)
 
 
 def _n_list(text):
@@ -168,7 +168,7 @@ def cmd_solve(args) -> int:
     inst = load_map(args.map)
     rows = None if args.trace is None else []
     result = run_trial(inst, ParamSet.for_instance(inst), cfg, seed=args.seed,
-                       max_iters=args.max_iters, trace=rows, init_level=args.init_level)
+                       max_iters=args.max_iters, trace=rows)
     if args.trace is not None:
         write_csv(args.trace, ["t", "L_off", "sum_X", "S", "total_O", "residual"],
                   map(dataclasses.astuple, rows))
@@ -191,8 +191,7 @@ def _run_batches(args, sizes) -> list:
     cfg = _variant(args)
     stats = [run_batch(n, args.trials, cfg, global_seed=args.global_seed,
                        max_iters=args.max_iters, map_policy=args.map_policy,
-                       map_seed=args.map_seed, init_level=args.init_level,
-                       workers=args.workers) for n in sizes]
+                       map_seed=args.map_seed, workers=args.workers) for n in sizes]
     write_results_csv(stats, args.out)
     for s in stats:
         print(f"{s.variant} n={s.n} trials={s.trials}: success_rate={s.success_rate:.3f} "
@@ -267,8 +266,8 @@ def cmd_reproduce(args) -> int:
     rows = []
     all_ok = True
     for label, name, n, (ref_sr, ref_it, ref_ratio) in plan:
-        s = run_batch(n, args.trials, preset(name), global_seed=args.global_seed,
-                      workers=args.workers, init_level=args.init_level)
+        cfg = dataclasses.replace(preset(name), init_level=args.init_level)
+        s = run_batch(n, args.trials, cfg, global_seed=args.global_seed, workers=args.workers)
         # a row with no reference iterations (nothing solved) must match its rate exactly
         ok = (_near(s.avg_iterations, ref_it, args.iters_tol * (ref_it or 0))
               and _near(s.avg_ratio, ref_ratio, args.ratio_tol)

@@ -74,7 +74,8 @@ class VariantConfig:
     """Orthogonal switches selecting original or modified behavior.
 
     i_scale acts only under SCALE_I and normal_sd only under NORMAL, so
-    either one away from its default needs its element.
+    either one away from its default needs its element. init_level is the
+    uniform start level of every lane; None is the size rule initial_level(n).
     """
 
     element_a: ElementA = ElementA.UNIFORM
@@ -82,6 +83,7 @@ class VariantConfig:
     i_scale: float = 1.0
     element_c: frozenset = field(default_factory=frozenset)
     normal_sd: float = DEFAULT_NORMAL_SD
+    init_level: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.element_a, ElementA):
@@ -92,6 +94,8 @@ class VariantConfig:
             raise ValueError("i_scale must be positive and finite")
         if not (math.isfinite(self.normal_sd) and self.normal_sd > 0):
             raise ValueError("normal_sd must be positive and finite")
+        if self.init_level is not None and not math.isfinite(self.init_level):
+            raise ValueError("init_level must be finite")
         if self.i_scale != 1.0 and self.element_b is not ElementB.SCALE_I:
             raise ValueError("i_scale needs element_b scale_i")
         if self.normal_sd != DEFAULT_NORMAL_SD and self.element_a is not ElementA.NORMAL:

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -122,12 +122,11 @@ def trial_seeds(global_seed: int, index: int) -> tuple[int, int]:
             _derive_seed(global_seed, index, _TRIAL_STREAM))
 
 
-def _trial(index, n, cfg, global_seed, map_seed, max_iters, init_level, keep_trials):
+def _trial(index, n, cfg, global_seed, map_seed, max_iters, keep_trials):
     """Trial `index` of a batch; map_seed None draws the trial's own map."""
     own_map_seed, seed = trial_seeds(global_seed, index)
     inst = generate_map(n, own_map_seed if map_seed is None else map_seed)
-    result = run_trial(inst, ParamSet.for_instance(inst), cfg, seed=seed,
-                       max_iters=max_iters, init_level=init_level)
+    result = run_trial(inst, ParamSet.for_instance(inst), cfg, seed=seed, max_iters=max_iters)
     if not keep_trials:
         result.final_x = None
     return result
@@ -135,21 +134,23 @@ def _trial(index, n, cfg, global_seed, map_seed, max_iters, init_level, keep_tri
 
 def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
               max_iters: int = DEFAULT_MAX_ITERS, map_policy: str = "fresh",
-              map_seed: int | None = None, init_level: float | None = None,
-              workers: int = 1, keep_trials: bool = False) -> AggregateStats:
+              map_seed: int | None = None, workers: int = 1,
+              keep_trials: bool = False) -> AggregateStats:
     """Run seeded trials of one configuration and aggregate the criteria.
 
     map_policy "fresh" draws a new map per trial (nu recalibrated each time)
     and refuses a map_seed; "fixed" reuses one map seeded by map_seed
-    (derived from global_seed when omitted). init_level None starts every
-    trial at initial_level(n). The pool holds no more workers than trials or
-    CPUs. keep_trials attaches the trial results, final states included, as
-    per_trial. The label is cfg's PRESETS name or "custom".
+    (derived from global_seed when omitted). The pool holds no more workers
+    than trials or CPUs. keep_trials attaches the trial results, final
+    states included, as per_trial. The label is the PRESETS name of cfg at
+    any start level, or "custom".
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     if map_policy not in ("fresh", "fixed"):
         raise ValueError(f"unknown map_policy {map_policy!r}")
     if map_policy == "fresh" and map_seed is not None:
@@ -157,14 +158,15 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
     if map_policy == "fixed" and map_seed is None:
         map_seed = _derive_seed(global_seed, _MAP_STREAM)
     job = partial(_trial, n=n, cfg=cfg, global_seed=global_seed, map_seed=map_seed,
-                  max_iters=max_iters, init_level=init_level, keep_trials=keep_trials)
+                  max_iters=max_iters, keep_trials=keep_trials)
     workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(job, range(trials))
     else:
         results = [job(i) for i in range(trials)]
-    name = next((key for key, known in PRESETS.items() if known == cfg), "custom")
+    name = next((key for key, known in PRESETS.items()
+                 if known == replace(cfg, init_level=None)), "custom")
     stats = aggregate(results, name, n)
     if keep_trials:
         stats.per_trial = results

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,11 @@ class TrialResult:
 
 
 def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int,
-              max_iters: int = DEFAULT_MAX_ITERS, trace: list[StepDiagnostics] | None = None,
-              init_level: float | None = None) -> TrialResult:
+              max_iters: int = DEFAULT_MAX_ITERS,
+              trace: list[StepDiagnostics] | None = None) -> TrialResult:
     """Run one seeded search and report the first valid tour, if any.
 
-    Every lane starts at init_level, by default initial_level(inst.n).
+    Every lane starts at cfg.init_level, by default initial_level(inst.n).
     Refuses to run with an uncalibrated nu (constraint penalties must
     dominate any two-edge path cost). Termination is checked after every
     full step; each step appends its StepDiagnostics row to a trace list.
@@ -47,10 +46,8 @@ def run_trial(inst: TspInstance, params: ParamSet, cfg: VariantConfig, seed: int
         raise ValueError("nu is not calibrated for this map; use ParamSet.for_instance")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if init_level is not None and not math.isfinite(init_level):
-        raise ValueError("init_level must be finite")
     rng = np.random.default_rng(seed)
-    state = AmoebaState.initial(inst.n, level=init_level)
+    state = AmoebaState.initial(inst.n, level=cfg.init_level)
     for _ in range(max_iters):
         state = step(state, inst, params, cfg, rng, trace)
         tour = decode_solution(state.x).tour

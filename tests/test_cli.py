@@ -163,12 +163,16 @@ class TestSolve:
 
 
 @pytest.mark.parametrize("level", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["solve", "batch"])
-def test_nonfinite_init_level_rejected(map10, tmp_path, capsys, command, level):
-    # a non-finite start can never reach a tour, so it must not run the budget
+@pytest.mark.parametrize("command", ["solve", "batch", "sweep", "reproduce"])
+def test_nonfinite_init_level_rejected(map10, tmp_path, capsys, monkeypatch, command, level):
+    # a non-finite start can never reach a tour: it is refused with the
+    # configuration, before any batch or worker pool starts
+    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
     out = tmp_path / "r.csv"
     args = {"solve": ["--map", str(map10)],
-            "batch": ["--n", "10", "--trials", "2", "--out", str(out)]}[command]
+            "batch": ["--n", "10", "--trials", "2", "--workers", "2", "--out", str(out)],
+            "sweep": ["--n-list", "6,8", "--trials", "2", "--out", str(out)],
+            "reproduce": ["--table", "2", "--trials", "2"]}[command]
     code = run_cli([command, *args, f"--init-level={level}"])
     assert code == EXIT_USAGE
     assert "error: init_level must be finite" in capsys.readouterr().err

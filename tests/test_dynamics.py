@@ -1,6 +1,8 @@
 """Update-step mechanics: illumination, contraction, elongation, stock,
 fluctuations, and the conservation probe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -143,6 +145,9 @@ class TestVariantConfig:
         # a name in place of its member would run the base model unchanged
         ({"element_a": "normal", "normal_sd": 0.005}, "unknown element_a: 'normal'"),
         ({"element_b": "scale_i", "i_scale": 0.9}, "unknown element_b: 'scale_i'"),
+        # a non-finite start level can never reach a tour either
+        ({"init_level": float("nan")}, "init_level must be finite"),
+        ({"init_level": float("inf")}, "init_level must be finite"),
     ])
     def test_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -515,8 +520,8 @@ class TestInitialState:
         inst = generate_map(5, seed=63)
         p = ParamSet.for_instance(inst)
         rows = []
-        r = run_trial(inst, p, preset("original"), seed=1, max_iters=50,
-                      init_level=0.0, trace=rows)
+        r = run_trial(inst, p, replace(preset("original"), init_level=0.0), seed=1,
+                      max_iters=50, trace=rows)
         assert not r.success
         assert all(d.l_off == 25 for d in rows)
         assert np.abs(r.final_x).max() < 0.1

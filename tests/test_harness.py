@@ -1,6 +1,7 @@
 """Batches, sweeps, presets, aggregation rules, and the scaling fit."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,12 @@ class TestRunBatch:
         assert ([(r.iterations, r.tour) for r in a.per_trial]
                 == [(r.iterations, r.tour) for r in b.per_trial])
 
+    def test_bad_budget_refused_before_the_pool(self, monkeypatch):
+        sizes = self.record_pools(monkeypatch, cpus=2)
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            run_batch(6, 4, preset("improved"), global_seed=0, workers=2, max_iters=0)
+        assert sizes == []
+
     def test_pool_no_larger_than_the_cpu_count(self, monkeypatch):
         sizes = self.record_pools(monkeypatch, cpus=2)
         a = run_batch(6, 8, preset("improved"), global_seed=3, workers=64, keep_trials=True)
@@ -124,7 +131,10 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_batch_labelled_by_its_preset(self, name):
+        # the start level is not part of the name
         assert run_batch(6, 1, PRESETS[name], global_seed=0, max_iters=5).variant == name
+        moved = replace(PRESETS[name], init_level=0.44)
+        assert run_batch(6, 1, moved, global_seed=0, max_iters=5).variant == name
 
     @pytest.mark.parametrize("cfg", [
         VariantConfig(element_b=ElementB.SCALE_I),

@@ -1,5 +1,7 @@
 """Trial loop: termination, reproducibility, and result contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,8 +107,21 @@ class TestRunTrial:
         inst, p = small
         r = run_trial(inst, p, preset("a1"), seed=0, max_iters=1)
         assert np.allclose(r.final_x, initial_level(10) + DELTA_IN / 100, atol=1e-15)
-        r = run_trial(inst, p, preset("a1"), seed=0, max_iters=1, init_level=0.3)
+        r = run_trial(inst, p, replace(preset("a1"), init_level=0.3), seed=0, max_iters=1)
         assert np.allclose(r.final_x, 0.3 + DELTA_IN / 100, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(PRESETS)), n=st.integers(3, 10),
+           map_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_explicit_size_rule_start_is_the_default(self, name, n, map_seed, seed):
+        # init_level None and the size rule's own level start the same trial
+        inst = generate_map(n, map_seed)
+        p = ParamSet.for_instance(inst)
+        default = run_trial(inst, p, preset(name), seed=seed, max_iters=150)
+        explicit = run_trial(inst, p, replace(preset(name), init_level=initial_level(n)),
+                             seed=seed, max_iters=150)
+        assert (explicit.iterations, explicit.tour) == (default.iterations, default.tour)
+        assert explicit.final_x.tobytes() == default.final_x.tobytes()
 
     def test_trace_row_per_iteration(self, small):
         inst, p = small
