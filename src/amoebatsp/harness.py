@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ElementA, ElementB, ElementC, VariantConfig
-from .instance import ParamSet, generate_map
+from .instance import ParamSet, check_city_count, generate_map
 from .solver import DEFAULT_MAX_ITERS, TrialResult, run_trial
 
 _MAP_STREAM = 0x6D61
@@ -145,6 +145,7 @@ def run_batch(n: int, trials: int, cfg: VariantConfig, global_seed: int,
     states included, as per_trial. The label is the PRESETS name of cfg at
     any start level, or "custom".
     """
+    check_city_count(n)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:

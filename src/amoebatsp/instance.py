@@ -26,6 +26,12 @@ MAP_MEAN = 100.0
 MAP_SD = 17.0
 
 
+def check_city_count(n: int) -> None:
+    """Refuse a map of fewer than three cities, which has no tour to find."""
+    if n < 3:
+        raise ValueError(f"need at least 3 cities, got n={n}")
+
+
 @dataclass(frozen=True)
 class GenMeta:
     """Generation record kept with a map so files are self-describing."""
@@ -48,8 +54,7 @@ class TspInstance:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         object.__setattr__(self, "n", len(d))
-        if self.n < 3:
-            raise ValueError(f"need at least 3 cities, got n={self.n}")
+        check_city_count(self.n)
         if not np.isfinite(d).all():
             raise ValueError("distances must be finite")
         if not np.array_equal(d, d.T):
@@ -107,8 +112,7 @@ def generate_map(n: int, seed: int, mean: float = MAP_MEAN, sd: float = MAP_SD) 
     Deterministic for a fixed (n, seed, mean, sd). Only the upper triangle
     is drawn, then mirrored.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 cities, got n={n}")
+    check_city_count(n)
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean}")
     if not 0 <= sd < math.inf:
@@ -236,8 +240,7 @@ def load_map(path) -> TspInstance:
         raise ValueError(f"malformed map file {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed map file {path}: {exc}") from exc
-    if n < 3:
-        raise ValueError(f"need at least 3 cities, got n={n}")
+    check_city_count(n)
     if len(flat) != n * n:
         raise ValueError(f"dist must be a flat list of {n * n} entries")
     return TspInstance(np.reshape(flat, (n, n)), meta)

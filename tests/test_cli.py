@@ -22,7 +22,11 @@ def run_cli(argv):
 
 
 def _no_batch(*args, **kwargs):
-    raise AssertionError("a batch ran before the flags were checked")
+    raise AssertionError("a batch ran before the input was checked")
+
+
+def _subparser(command):
+    return build_parser()._subparsers._group_actions[0].choices[command]
 
 
 R = "required"
@@ -49,9 +53,8 @@ SURFACE = {
 
 @pytest.mark.parametrize("command", sorted(SURFACE))
 def test_flag_surface(command, capsys):
-    sub = build_parser()._subparsers._group_actions[0].choices[command]
     flags = {a.option_strings[0]: R if a.required else a.default
-             for a in sub._actions if a.dest != "help"}
+             for a in _subparser(command)._actions if a.dest != "help"}
     assert flags == SURFACE[command]
     assert run_cli([command, "--help"]) == EXIT_OK
     assert capsys.readouterr().out.startswith(f"usage: amoebatsp {command} ")
@@ -62,6 +65,92 @@ def map10(tmp_path_factory):
     path = tmp_path_factory.mktemp("maps") / "m10.json"
     assert run_cli(["gen-map", "--n", "10", "--seed", "4", "--out", str(path)]) == EXIT_OK
     return path
+
+
+FIT = "fit-scaling --results {tmp}/r.csv --out {tmp}/f.json"
+# a results CSV with one solved row
+RESULTS = ("variant,n,trials,success_rate,avg_iterations,std_iterations,avg_ratio,std_ratio\n"
+           "x,10,5,1.0,100.0,,0.9,\n")
+BATCH_CONFIG = "batch --config {tmp}/run.json --out {tmp}/r.csv"
+CONFIG_KEY = '{{"preset": "improved", "n": 10, "{}": 1}}'
+EXCLUSIVE = "--preset and explicit element flags are mutually exclusive"
+
+# Refused inputs, by case id: (argv, files written into tmp_path first, the
+# stderr line after "error: "). {tmp} stands for tmp_path, and in argv {map}
+# for a valid map. A line ending in "..." is a prefix; argparse supplies the rest.
+REFUSALS = {
+    "gen-map-two-cities": ("gen-map --n 2 --seed 1 --out {tmp}/m.json", {},
+                           "need at least 3 cities, got n=2"),
+    "gen-map-degenerate": ("gen-map --n 3 --seed 1 --mean 0 --sd 0 --out {tmp}/m.json", {},
+                           "degenerate map needs a positive mean"),
+    # a given element flag conflicts with a preset even at its default value
+    "solve-preset-and-default-element": ("solve --map {map} --preset improved --element-a uniform",
+                                         {}, EXCLUSIVE),
+    "solve-missing-map": ("solve --map {tmp}/nope.json", {},
+                          "[Errno 2] No such file or directory: '{tmp}/nope.json'"),
+    "solve-max-iters": ("solve --map {map} --max-iters 0", {}, "max_iters must be at least 1"),
+    "batch-i-scale-zero": ("batch --n 10 --element-b scale_i --i-scale 0 --out {tmp}/r.csv", {},
+                           "i_scale must be positive and finite"),
+    "batch-two-cities": ("batch --n 2 --trials 2 --workers 2 --out {tmp}/r.csv", {},
+                         "need at least 3 cities, got n=2"),
+    "batch-trials": ("batch --n 10 --trials 0 --out {tmp}/r.csv", {}, "trials must be at least 1"),
+    "batch-workers": ("batch --n 10 --workers 0 --out {tmp}/r.csv", {},
+                      "workers must be at least 1"),
+    "batch-max-iters": ("batch --n 10 --max-iters 0 --out {tmp}/r.csv", {},
+                        "max_iters must be at least 1"),
+    # n_list is a sweep flag; tri only abbreviates --trials
+    **{f"config-key-{key}": (BATCH_CONFIG, {"run.json": CONFIG_KEY.format(key)},
+                             f"config keys with no flag on batch: ['{key}']")
+       for key in ("n_list", "tri", "config", "run")},
+    # n is a batch flag; as --n it would also abbreviate two sweep flags
+    "config-key-n-on-sweep": ("sweep --config {tmp}/run.json --out {tmp}/r.csv",
+                              {"run.json": '{"n_list": [8, 10], "n": 3}'},
+                              "config keys with no flag on sweep: ['n']"),
+    "config-preset-and-knobs": (BATCH_CONFIG, {"run.json": '{"preset": "improved", "n": 10, '
+                                                        '"i_scale": 0.5, "normal_sd": 9}'},
+                                EXCLUSIVE),
+    "sweep-empty-n-list": ("sweep --n-list= --preset improved --out {tmp}/x.csv", {},
+                           "--n-list must name at least one city count"),
+    # fresh maps have no map seed to use
+    "sweep-fresh-map-seed": ("sweep --n-list 8,10 --preset improved --trials 2 --map-seed 77 "
+                             "--out {tmp}/x.csv", {}, "map_seed needs map_policy 'fixed'"),
+    "fit-missing-columns": (FIT, {"r.csv": "variant,n\nx,5\n"},
+                            "{tmp}/r.csv: results CSV lacks columns ['trials', 'success_rate', "
+                            "'avg_iterations', 'std_iterations', 'avg_ratio', 'std_ratio']"),
+    # each message names the file, the line, the column and the cell
+    "fit-empty-success-rate": (FIT, {"r.csv": RESULTS + "x,8,5,,80.0,,0.9,\n"},
+                               "{tmp}/r.csv: line 3, column success_rate: cannot read '' as float"),
+    "fit-fractional-n": (FIT, {"r.csv": RESULTS + "x,8.5,5,1.0,80.0,,0.9,\n"},
+                         "{tmp}/r.csv: line 3, column n: cannot read '8.5' as int"),
+    "reproduce-unknown-table": ("reproduce --table 7", {}, "argument --table: invalid choice: ..."),
+    "reproduce-trials": ("reproduce --table 2 --trials 0", {}, "trials must be at least 1"),
+}
+# the syntax errors, which print the command's usage above their error line
+USAGE_ERRORS = {"reproduce-unknown-table"}
+
+
+def _tree(root):
+    """Each path under root with its bytes, None for a directory."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused(case, map10, tmp_path, capsys, monkeypatch):
+    # refused before any trial steps or pool opens, and no file is written or changed
+    monkeypatch.setattr("amoebatsp.solver.step", _no_batch)
+    monkeypatch.setattr("amoebatsp.harness.Pool", _no_batch)
+    argv, files, message = REFUSALS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    before = _tree(tmp_path)
+    argv = [arg.format(tmp=tmp_path, map=map10) for arg in argv.split()]
+    assert run_cli(argv) == EXIT_USAGE
+    usage = _subparser(argv[0]).format_usage() if case in USAGE_ERRORS else ""
+    expected = f"{usage}error: {message.format(tmp=tmp_path)}\n"
+    err = capsys.readouterr().err
+    assert err == expected or (expected.endswith("...\n") and err.startswith(expected[:-4])
+                               and err.count("\n") == expected.count("\n"))
+    assert _tree(tmp_path) == before
 
 
 class TestGenMap:
@@ -78,11 +167,6 @@ class TestGenMap:
         run_cli(["gen-map", "--n", "8", "--seed", "1", "--out", str(a)])
         run_cli(["gen-map", "--n", "8", "--seed", "1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-
-    def test_below_minimum_usage_error(self, tmp_path):
-        out = tmp_path / "m.json"
-        code = run_cli(["gen-map", "--n", "2", "--seed", "1", "--out", str(out)])
-        assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("flag, value", [("--sd", "nan"), ("--mean", "nan"), ("--sd", "inf")])
     def test_nonfinite_parameter_named(self, tmp_path, capsys, flag, value):
@@ -129,23 +213,11 @@ class TestSolve:
                   for t, l_off, *rest in csv.reader(lines[1:])]
         assert parsed == [dataclasses.astuple(d) for d in rows]
 
-    def test_preset_and_elements_conflict(self, map10, capsys):
-        # a given element flag conflicts with a preset even at its default value
-        for value in ("normal", "uniform"):
-            code = run_cli(["solve", "--map", str(map10), "--preset", "improved",
-                            "--element-a", value])
-            assert code == EXIT_USAGE
-            assert "mutually exclusive" in capsys.readouterr().err
-
     def test_elements_spell_out_variant(self, map10):
         code = run_cli(["solve", "--map", str(map10), "--element-a", "normal",
                         "--element-b", "denom_n", "--element-c", "o_const",
                         "--seed", "3"])
         assert code == EXIT_OK
-
-    def test_missing_map_is_config_error(self, tmp_path):
-        code = run_cli(["solve", "--map", str(tmp_path / "nope.json")])
-        assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("d, codes", [
         (1e6, (EXIT_OK, EXIT_NO_SOLUTION)),  # nu's 3-figure rounding lands an ulp high
@@ -421,11 +493,6 @@ class TestBatchSweepFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_n_list_usage_error(self, tmp_path):
-        code = run_cli(["sweep", "--n-list", "", "--preset", "improved",
-                        "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-
     @pytest.mark.parametrize("argv,config", [
         (["sweep", "--n-list", "30,2"], None),
         (["sweep"], {"n_list": [30, 2]}),
@@ -443,26 +510,13 @@ class TestBatchSweepFit:
         assert run_cli(argv) == EXIT_USAGE
         assert "every city count must be at least 3" in capsys.readouterr().err
 
-    def test_sweep_map_seed_reaches_the_maps(self, tmp_path, capsys):
-        base = ["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2"]
-        code = run_cli(base + ["--map-seed", "77", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE  # fresh maps have no map seed to use
-        assert "error:" in capsys.readouterr().err
+    def test_sweep_map_seed_reaches_the_maps(self, tmp_path):
+        base = ["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2",
+                "--map-policy", "fixed"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for seed, path in (("77", a), ("78", b)):
-            code = run_cli(base + ["--map-policy", "fixed", "--map-seed", seed,
-                                   "--out", str(path)])
-            assert code == EXIT_OK
+            assert run_cli(base + ["--map-seed", seed, "--out", str(path)]) == EXIT_OK
         assert a.read_bytes() != b.read_bytes()
-
-    def test_fit_names_missing_columns(self, tmp_path, capsys):
-        results = tmp_path / "r.csv"
-        results.write_text("variant,n\nx,5\n")
-        code = run_cli(["fit-scaling", "--results", str(results),
-                        "--out", str(tmp_path / "f.json")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "error:" in err and "lacks columns ['trials', 'success_rate'" in err
 
     @pytest.mark.parametrize("rows,problem", [
         ([(8, "80.0"), (10, "nan"), (12, "120.0")],
@@ -483,29 +537,6 @@ class TestBatchSweepFit:
         assert code == EXIT_USAGE
         assert f"error: scaling fit needs {problem}" in capsys.readouterr().err
         assert not fit_out.exists()
-
-    def test_fit_rejects_empty_success_rate(self, tmp_path, capsys):
-        # an empty success_rate, then a fractional n: each message names the
-        # file, the line, the column and the cell
-        header = "variant,n,trials,success_rate,avg_iterations,std_iterations,avg_ratio,std_ratio\n"
-        results = tmp_path / "r.csv"
-        for bad_row, column, cell in (("x,8,5,,80.0,,0.9,", "success_rate", "''"),
-                                      ("x,8.5,5,1.0,80.0,,0.9,", "n", "'8.5'")):
-            results.write_text(header + "x,10,5,1.0,100.0,,0.9,\n" + bad_row + "\n")
-            code = run_cli(["fit-scaling", "--results", str(results),
-                            "--out", str(tmp_path / "f.json")])
-            assert code == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "Traceback" not in err
-            assert f"{results}: line 3, column {column}: cannot read {cell}" in err
-
-    def test_fit_needs_three_sizes(self, tmp_path):
-        results = tmp_path / "short.csv"
-        run_cli(["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2",
-                 "--global-seed", "1", "--out", str(results)])
-        code = run_cli(["fit-scaling", "--results", str(results),
-                        "--out", str(tmp_path / "f.json")])
-        assert code == EXIT_USAGE
 
 
 class TestConfigFile:
@@ -535,20 +566,6 @@ class TestConfigFile:
         for extra in ([], ["--config", str(cfg)]):
             assert run_cli(argv + extra) == EXIT_USAGE
             assert capsys.readouterr().err == "error: --out is required\n"
-
-    def test_unknown_keys_rejected(self, tmp_path, capsys):
-        # n_list is a sweep flag, and tri only abbreviates --trials
-        cfg = tmp_path / "run.json"
-        for key in ("typo_key", "n_list", "tri", "config", "run"):
-            cfg.write_text(json.dumps({"preset": "improved", "n": 10, key: 1}))
-            code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-            assert code == EXIT_USAGE
-        # n is a batch flag; as --n it would also abbreviate two sweep flags
-        cfg.write_text(json.dumps({"n_list": [8, 10], "n": 3}))
-        capsys.readouterr()
-        code = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-        assert code == EXIT_USAGE
-        assert "config keys with no flag on sweep: ['n']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,data", [
         ("batch", {"n": "20"}),
@@ -581,14 +598,6 @@ class TestConfigFile:
         assert code == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(r[1], r[2]) for r in rows] == [("8", "2"), ("10", "2")]
-
-    def test_preset_and_elements_exclusive_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        for elements in ({"element_a": "normal"}, {"i_scale": 0.5, "normal_sd": 9}):
-            cfg.write_text(json.dumps({"preset": "improved", "n": 10, **elements}))
-            code = run_cli(["batch", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-            assert code == EXIT_USAGE
-            assert "mutually exclusive" in capsys.readouterr().err
 
 
 class TestReproduce:
@@ -633,6 +642,3 @@ class TestReproduce:
         assert code == EXIT_USAGE
         assert f"error: argument {flag}: tolerance must be finite and nonnegative" in \
             capsys.readouterr().err
-
-    def test_unknown_table_rejected(self):
-        assert run_cli(["reproduce", "--table", "7"]) == EXIT_USAGE

@@ -107,27 +107,33 @@ class TestRunBatch:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         return sizes
 
-    def test_pool_no_larger_than_the_batch(self, monkeypatch):
-        sizes = self.record_pools(monkeypatch, cpus=4)
-        a = run_batch(10, 2, preset("improved"), global_seed=3, workers=4, keep_trials=True)
-        b = run_batch(10, 2, preset("improved"), global_seed=3, workers=1, keep_trials=True)
-        assert sizes == [2]
-        assert ([(r.iterations, r.tour) for r in a.per_trial]
-                == [(r.iterations, r.tour) for r in b.per_trial])
-
-    def test_bad_budget_refused_before_the_pool(self, monkeypatch):
-        sizes = self.record_pools(monkeypatch, cpus=2)
-        with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            run_batch(6, 4, preset("improved"), global_seed=0, workers=2, max_iters=0)
-        assert sizes == []
-
-    def test_pool_no_larger_than_the_cpu_count(self, monkeypatch):
-        sizes = self.record_pools(monkeypatch, cpus=2)
-        a = run_batch(6, 8, preset("improved"), global_seed=3, workers=64, keep_trials=True)
-        b = run_batch(6, 8, preset("improved"), global_seed=3, workers=1, keep_trials=True)
-        assert sizes == [2]
+    @pytest.mark.parametrize("cpus, trials, workers, pool", [(4, 2, 4, 2), (2, 8, 64, 2)],
+                             ids=["batch", "cpu-count"])
+    def test_pool_capped_by_the_batch_and_the_cpus(self, monkeypatch, cpus, trials, workers,
+                                                   pool):
+        sizes = self.record_pools(monkeypatch, cpus=cpus)
+        a = run_batch(6, trials, preset("improved"), global_seed=3, workers=workers,
+                      keep_trials=True)
+        b = run_batch(6, trials, preset("improved"), global_seed=3, workers=1, keep_trials=True)
+        assert sizes == [pool]
         assert ([(r.iterations, r.tour, r.final_x.tobytes()) for r in a.per_trial]
                 == [(r.iterations, r.tour, r.final_x.tobytes()) for r in b.per_trial])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 2}, "need at least 3 cities, got n=2"),
+        ({"trials": 0}, "trials must be at least 1"),
+        ({"workers": -1}, "workers must be at least 1"),
+        ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"map_policy": "sometimes"}, "unknown map_policy 'sometimes'"),
+        ({"map_seed": 77}, "map_seed needs map_policy 'fixed'"),
+    ], ids=["n", "trials", "workers", "max_iters", "map_policy", "map_seed"])
+    def test_refused_before_the_pool(self, monkeypatch, kwargs, message):
+        sizes = self.record_pools(monkeypatch, cpus=2)
+        with pytest.raises(ValueError) as refusal:
+            run_batch(**{"n": 6, "trials": 4, "cfg": preset("improved"), "global_seed": 0,
+                         "workers": 2, **kwargs})
+        assert str(refusal.value) == message
+        assert sizes == []
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_batch_labelled_by_its_preset(self, name):
@@ -163,22 +169,6 @@ class TestRunBatch:
         for i, recorded in enumerate(stats.per_trial):
             redo = run_trial(inst, params, preset("improved"), seed=trial_seeds(2, i)[1])
             assert redo.iterations == recorded.iterations
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            run_batch(10, 1, preset("improved"), global_seed=0, map_policy="sometimes")
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            run_batch(10, 0, preset("improved"), global_seed=0)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_batch(10, 1, preset("improved"), global_seed=0, workers=-1)
-
-    def test_map_seed_needs_fixed_policy(self):
-        with pytest.raises(ValueError, match="map_seed"):
-            run_batch(10, 1, preset("improved"), global_seed=0, map_seed=77)
 
 
 class TestVariantOrdering:
