@@ -74,15 +74,23 @@ RESULTS = ("variant,n,trials,success_rate,avg_iterations,std_iterations,avg_rati
 BATCH_CONFIG = "batch --config {tmp}/run.json --out {tmp}/r.csv"
 CONFIG_KEY = '{{"preset": "improved", "n": 10, "{}": 1}}'
 EXCLUSIVE = "--preset and explicit element flags are mutually exclusive"
+# each output flag of each command; a row names one, the others go into {tmp}
+OUTPUT_FLAGS = {"batch --n 10 --trials 2": ["--out"], "solve --map {map}": ["--trace"],
+                "sweep --n-list 8 --trials 2": ["--out", "--plot-iters", "--plot-ratio"],
+                "gen-map --n 5 --seed 1": ["--out"], "fit-scaling --results {tmp}/r.csv": ["--out"]}
+SAME = {"same": '{"n": 6}'}
 
-# Refused inputs, by case id: (argv, files written into tmp_path first, the
-# stderr line after "error: "). {tmp} stands for tmp_path, and in argv {map}
-# for a valid map. A line ending in "..." is a prefix; argparse supplies the rest.
+# Refused inputs, by case id: (argv, files written into tmp_path first, None
+# making an empty directory, the stderr line after "error: "). {tmp} stands for
+# tmp_path, and in argv {map} for a valid map. A line ending in "..." is a
+# prefix; argparse supplies the rest.
 REFUSALS = {
     "gen-map-two-cities": ("gen-map --n 2 --seed 1 --out {tmp}/m.json", {},
                            "need at least 3 cities, got n=2"),
     "gen-map-degenerate": ("gen-map --n 3 --seed 1 --mean 0 --sd 0 --out {tmp}/m.json", {},
                            "degenerate map needs a positive mean"),
+    "gen-map-negative-seed": ("gen-map --n 5 --seed=-3 --out {tmp}/m.json", {},
+                              "argument --seed: seed must be a non-negative integer: '-3'"),
     # a given element flag conflicts with a preset even at its default value
     "solve-preset-and-default-element": ("solve --map {map} --preset improved --element-a uniform",
                                          {}, EXCLUSIVE),
@@ -98,6 +106,14 @@ REFUSALS = {
                       "workers must be at least 1"),
     "batch-max-iters": ("batch --n 10 --max-iters 0 --out {tmp}/r.csv", {},
                         "max_iters must be at least 1"),
+    "batch-no-n": ("batch --out {tmp}/r.csv", {}, "--n is required"),
+    "batch-no-out": ("batch --n 6", {}, "--out is required"),
+    "config-not-json": (BATCH_CONFIG, {"run.json": "{not json"},
+                        "malformed config file {tmp}/run.json: Expecting property name enclosed "
+                        "in double quotes: line 1 column 2 (char 1)"),
+    "config-not-object": (BATCH_CONFIG, {"run.json": "[10]"}, "config must be a JSON object"),
+    "config-text-for-number": (BATCH_CONFIG, {"run.json": '{"n": "20"}'},
+                               "config key 'n': expected numbers, got '20'"),
     # n_list is a sweep flag; tri only abbreviates --trials
     **{f"config-key-{key}": (BATCH_CONFIG, {"run.json": CONFIG_KEY.format(key)},
                              f"config keys with no flag on batch: ['{key}']")
@@ -110,7 +126,17 @@ REFUSALS = {
                                                         '"i_scale": 0.5, "normal_sd": 9}'},
                                 EXCLUSIVE),
     "sweep-empty-n-list": ("sweep --n-list= --preset improved --out {tmp}/x.csv", {},
-                           "--n-list must name at least one city count"),
+                           "argument --n-list: must name at least one city count"),
+    "sweep-no-n-list": ("sweep --preset improved --out {tmp}/x.csv", {}, "--n-list is required"),
+    # an empty list adds no flag
+    "sweep-config-empty-n-list": ("sweep --config {tmp}/run.json --out {tmp}/x.csv",
+                                  {"run.json": '{"n_list": []}'}, "--n-list is required"),
+    "sweep-two-cities": ("sweep --n-list 30,2 --out {tmp}/x.csv", {},
+                         "need at least 3 cities, got n=2"),
+    "sweep-bad-n-list": ("sweep --n-list 8,x --out {tmp}/x.csv", {},
+                         "argument --n-list: bad n-list: '8,x'"),
+    "sweep-plot-iters-alone": ("sweep --n-list 8 --out {tmp}/s.csv --plot-iters {tmp}/i.csv", {},
+                               "--plot-iters and --plot-ratio must be given together"),
     # fresh maps have no map seed to use
     "sweep-fresh-map-seed": ("sweep --n-list 8,10 --preset improved --trials 2 --map-seed 77 "
                              "--out {tmp}/x.csv", {}, "map_seed needs map_policy 'fixed'"),
@@ -124,9 +150,37 @@ REFUSALS = {
                          "{tmp}/r.csv: line 3, column n: cannot read '8.5' as int"),
     "reproduce-unknown-table": ("reproduce --table 7", {}, "argument --table: invalid choice: ..."),
     "reproduce-trials": ("reproduce --table 2 --trials 0", {}, "trials must be at least 1"),
+    "reproduce-negative-tolerance": ("reproduce --table 2 --iters-tol=-1", {},
+                                     "argument --iters-tol: tolerance must be finite and "
+                                     "nonnegative: '-1'"),
+    "reproduce-no-reference-row": ("reproduce --table 5 --n-list 25", {}, "no reference row for n=25"),
+    "reproduce-n-list-on-table-two": ("reproduce --table 2 --n-list 10,50", {},
+                                      "--n-list applies only to table 5"),
+    # an output path must be a file in a directory that exists
+    **{f"{command.split()[0]}-{flag[2:]}-{kind}": (
+        command + "".join(f" {f} {{tmp}}/{path if f == flag else f[2:]}" for f in flags), files,
+        f"argument {flag}: {message}")
+       for command, flags in OUTPUT_FLAGS.items() for flag in flags
+       for kind, path, files, message in [
+           ("in-missing-dir", "gone/x.csv", {}, "directory {tmp}/gone does not exist"),
+           ("is-dir", "d", {"d": None}, "{tmp}/d is a directory")]},
+    # no output overwrites a file that another flag names, compared as resolved paths
+    "same-plot-iters-plot-ratio": ("sweep --n-list 6 --out {tmp}/s.csv --plot-iters {tmp}/same "
+                                   "--plot-ratio {tmp}/same", SAME,
+                                   "argument --plot-ratio: {tmp}/same is also given to --plot-iters"),
+    "same-out-plot-iters": ("sweep --n-list 6 --out {tmp}/same --plot-iters {tmp}/same "
+                            "--plot-ratio {tmp}/pr.csv", SAME,
+                            "argument --plot-iters: {tmp}/same is also given to --out"),
+    "same-map-trace": ("solve --map {tmp}/same --trace {tmp}/same", SAME,
+                       "argument --trace: {tmp}/same is also given to --map"),
+    "same-results-out": ("fit-scaling --results {tmp}/same --out {tmp}/same", SAME,
+                         "argument --out: {tmp}/same is also given to --results"),
+    "same-config-out": ("batch --config {tmp}/same --out {tmp}/sub/../same", {**SAME, "sub": None},
+                        "argument --out: {tmp}/sub/../same is also given to --config"),
 }
 # the syntax errors, which print the command's usage above their error line
-USAGE_ERRORS = {"reproduce-unknown-table"}
+USAGE_ERRORS = {"gen-map-negative-seed", "sweep-empty-n-list", "sweep-bad-n-list",
+                "reproduce-unknown-table", "reproduce-negative-tolerance"}
 
 
 def _tree(root):
@@ -141,7 +195,10 @@ def test_refused(case, map10, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("amoebatsp.harness.Pool", _no_batch)
     argv, files, message = REFUSALS[case]
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text)
     before = _tree(tmp_path)
     argv = [arg.format(tmp=tmp_path, map=map10) for arg in argv.split()]
     assert run_cli(argv) == EXIT_USAGE
@@ -275,72 +332,6 @@ def test_semantic_error_is_one_line(tmp_path, capsys, monkeypatch, argv, files, 
         (tmp_path / name).write_text(text)
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def _output_argv(command, flag, path, tmp_path, map10):
-    """A command line of `command` that writes `flag` to `path` and every
-    other output it takes into tmp_path."""
-    argv = {"batch": ["batch", "--n", "10", "--trials", "2"],
-            "sweep": ["sweep", "--n-list", "8", "--trials", "2"],
-            "solve": ["solve", "--map", str(map10)],
-            "gen-map": ["gen-map", "--n", "5", "--seed", "1"],
-            "fit-scaling": ["fit-scaling", "--results", str(tmp_path / "r.csv")]}[command]
-    outputs = {"sweep": ["--out", "--plot-iters", "--plot-ratio"],
-               "solve": ["--trace"]}.get(command, ["--out"])
-    for out in outputs:
-        argv = [*argv, out, str(path if out == flag else tmp_path / f"{out[2:]}.csv")]
-    return argv
-
-
-@pytest.mark.parametrize("command, flag", [
-    ("batch", "--out"), ("sweep", "--out"), ("sweep", "--plot-iters"), ("sweep", "--plot-ratio"),
-    ("solve", "--trace"), ("gen-map", "--out"), ("fit-scaling", "--out"),
-])
-def test_missing_output_directory_rejected_before_any_trial(map10, tmp_path, capsys,
-                                                            monkeypatch, command, flag):
-    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
-    monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
-    missing = tmp_path / "no-such-dir"
-    argv = _output_argv(command, flag, missing / "out.csv", tmp_path, map10)
-    assert run_cli(argv) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: argument {flag}: directory {missing} does not exist\n"
-
-
-@pytest.mark.parametrize("command, flag", [
-    ("batch", "--out"), ("sweep", "--plot-iters"), ("sweep", "--plot-ratio"), ("solve", "--trace"),
-])
-def test_output_path_that_is_a_directory_rejected_before_any_trial(map10, tmp_path, capsys,
-                                                                   monkeypatch, command, flag):
-    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
-    monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
-    folder = tmp_path / "a-dir"
-    folder.mkdir()
-    assert run_cli(_output_argv(command, flag, folder, tmp_path, map10)) == EXIT_USAGE
-    assert capsys.readouterr().err == f"error: argument {flag}: {folder} is a directory\n"
-
-
-@pytest.mark.parametrize("argv, flag, other", [
-    (["sweep", "--n-list", "6", "--out", "{tmp}/s.csv", "--plot-iters", "{same}",
-      "--plot-ratio", "{same}"], "--plot-ratio", "--plot-iters"),
-    (["sweep", "--n-list", "6", "--out", "{same}", "--plot-iters", "{same}",
-      "--plot-ratio", "{tmp}/pr.csv"], "--plot-iters", "--out"),
-    (["solve", "--map", "{same}", "--trace", "{same}"], "--trace", "--map"),
-    (["fit-scaling", "--results", "{same}", "--out", "{same}"], "--out", "--results"),
-    (["batch", "--config", "{same}", "--out", "{tmp}/sub/../same"], "--out", "--config"),
-], ids=["plot-iters-plot-ratio", "out-plot-iters", "map-trace", "results-out", "config-out"])
-def test_output_path_named_by_another_flag_rejected_before_any_trial(tmp_path, capsys,
-                                                                     monkeypatch, argv, flag,
-                                                                     other):
-    monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
-    monkeypatch.setattr("amoebatsp.cli.run_trial", _no_batch)
-    (tmp_path / "sub").mkdir()
-    same = tmp_path / "same"
-    same.write_text('{"n": 6}')
-    argv = [arg.format(tmp=tmp_path, same=same) for arg in argv]
-    assert run_cli(argv) == EXIT_USAGE
-    path = argv[argv.index(flag) + 1]
-    assert capsys.readouterr().err == f"error: argument {flag}: {path} is also given to {other}\n"
-    assert same.read_text() == '{"n": 6}'
 
 
 @pytest.mark.parametrize("argv", [
@@ -493,13 +484,13 @@ class TestBatchSweepFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,config", [
-        (["sweep", "--n-list", "30,2"], None),
-        (["sweep"], {"n_list": [30, 2]}),
-        (["reproduce", "--table", "5", "--n-list", "10,2"], None),
+    @pytest.mark.parametrize("argv,config,message", [
+        (["sweep", "--n-list", "30,2"], None, "need at least 3 cities, got n=2"),
+        (["sweep"], {"n_list": [30, 2]}, "need at least 3 cities, got n=2"),
+        (["reproduce", "--table", "5", "--n-list", "10,2"], None, "no reference row for n=2"),
     ], ids=["sweep", "sweep-config", "reproduce"])
     def test_city_count_below_three_rejected_before_any_batch(self, tmp_path, capsys,
-                                                               monkeypatch, argv, config):
+                                                               monkeypatch, argv, config, message):
         monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
         if config is not None:
             cfg = tmp_path / "run.json"
@@ -508,7 +499,7 @@ class TestBatchSweepFit:
         if argv[0] == "sweep":
             argv = [*argv, "--preset", "improved", "--out", str(tmp_path / "s.csv")]
         assert run_cli(argv) == EXIT_USAGE
-        assert "every city count must be at least 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sweep_map_seed_reaches_the_maps(self, tmp_path):
         base = ["sweep", "--n-list", "8,10", "--preset", "improved", "--trials", "2",
@@ -625,7 +616,8 @@ class TestReproduce:
 
     @pytest.mark.parametrize("argv, message", [
         (["--table", "2", "--n-list", "10,50"], "error: --n-list applies only to table 5"),
-        (["--table", "5", "--n-list", ""], "error: --n-list must name at least one city count"),
+        (["--table", "5", "--n-list", ""],
+         "error: argument --n-list: must name at least one city count"),
     ], ids=["table-two", "empty-list"])
     def test_n_list_only_on_table_five(self, argv, message, capsys, monkeypatch):
         monkeypatch.setattr("amoebatsp.cli.run_batch", _no_batch)
