@@ -11,22 +11,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .dynamics import ElementA, ElementB, ElementC, VariantConfig
 from .harness import (
+    COMPARED,
     PRESETS,
     REFERENCE_IMPROVED_SWEEP,
-    REFERENCE_N20,
     REFERENCE_TABLES,
     fit_scaling,
     preset,
     read_results_csv,
+    reference_cell,
     run_batch,
-    standard_error,
+    score,
     write_csv,
     write_fit_json,
     write_plot_data,
@@ -77,22 +77,15 @@ def _n_list(text):
     return sizes
 
 
-def _nonnegative(parse, message):
-    """Argparse type: parse(text) when it is a finite number >= 0. The bound is
-    a comparison, so an int too large for a float (a 400-digit seed) passes."""
-    def convert(text):
-        try:
-            value = parse(text)
-        except ValueError:
-            value = math.nan
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"{message}: {text!r}")
-        return value
-    return convert
-
-
-_tolerance = _nonnegative(float, "tolerance must be finite and nonnegative")
-_seed = _nonnegative(int, "seed must be a non-negative integer")
+def _seed(text):
+    """Argparse type: a non-negative integer, of any size."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer: {text!r}")
+    return value
 
 
 def _check_out_dirs(args):
@@ -234,50 +227,32 @@ def _fmt(value, digits=1):
     return "-" if value is None else f"{value:.{digits}f}"
 
 
-def _vs(s, field, ref, digits) -> str:
-    """'mean +-SE (gap in SE) vs reference' for one compared mean of a batch;
-    the SE needs two solved trials, the gap a reference and a positive SE."""
-    value, se = getattr(s, field), standard_error(s, field)
-    if value is None:
-        return f"- vs {_fmt(ref, digits)}"
-    spread = "" if se is None else f" +-{se:.{digits}f}"
-    gap = f" ({(value - ref) / se:+.1f} SE)" if ref is not None and se else ""
-    return f"{value:.{digits}f}{spread}{gap} vs {_fmt(ref, digits)}"
-
-
-def _near(value, ref, tol) -> bool:
-    """True when there is no reference, or the value is within tol of it."""
-    return ref is None or (value is not None and abs(value - ref) <= tol)
-
-
 def cmd_reproduce(args) -> int:
     """Re-run a reference table's rows and compare side by side; each mean
-    shows its standard error and its gap to the reference in SE."""
+    is scored against its reference and band by harness.score."""
     if args.table == "5":
         n_list = [10, 20, 50, 100] if args.n_list is None else args.n_list
         for n in n_list:
             if n not in REFERENCE_IMPROVED_SWEEP:
                 raise ValueError(f"no reference row for n={n}")
-        plan = [(f"improved n={n}", "improved", n, REFERENCE_IMPROVED_SWEEP[n]) for n in n_list]
+        plan = [(f"improved n={n}", "improved", n) for n in n_list]
     else:
         if args.n_list is not None:
             raise ValueError("--n-list applies only to table 5")
-        plan = [(name, name, 20, REFERENCE_N20[name]) for name in REFERENCE_TABLES[args.table]]
+        plan = [(name, name, 20) for name in REFERENCE_TABLES[args.table]]
     rows = []
     all_ok = True
-    for label, name, n, (ref_sr, ref_it, ref_ratio) in plan:
+    for label, name, n in plan:
         cfg = dataclasses.replace(preset(name), init_level=args.init_level)
         s = run_batch(n, args.trials, cfg, global_seed=args.global_seed, workers=args.workers)
-        # a row with no reference iterations (nothing solved) must match its rate exactly
-        ok = (_near(s.avg_iterations, ref_it, args.iters_tol * (ref_it or 0))
-              and _near(s.avg_ratio, ref_ratio, args.ratio_tol)
-              and _near(s.success_rate, ref_sr, 0.0 if ref_it is None else args.success_tol))
+        cells = [score(*reference_cell(s, field)) for field in COMPARED]
+        ok = all(passed for passed, _ in cells)
         all_ok &= ok
-        rows.append(f"{label:>14} | {_vs(s, 'success_rate', ref_sr, 3):>32} | "
-                    f"{_vs(s, 'avg_iterations', ref_it, 1):>34} | "
-                    f"{_vs(s, 'avg_ratio', ref_ratio, 3):>32} | {'PASS' if ok else 'FAIL'}")
+        success, iters, ratio = (text for _, text in cells)
+        rows.append(f"{label:>14} | {success:>32} | {iters:>34} | {ratio:>36} | "
+                    f"{'PASS' if ok else 'FAIL'}")
     header = (f"{'variant':>14} | {'success':>32} | {'iterations':>34} | "
-              f"{'ratio':>32} | verdict")
+              f"{'ratio':>36} | verdict")
     rows.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
     print("\n".join([header, "-" * len(header), *rows]))
     return EXIT_OK if all_ok else EXIT_VERDICT_FAIL
@@ -350,12 +325,6 @@ def build_parser() -> _Parser:
     p.add_argument("--table", choices=["2", "3", "4", "5"], required=True)
     p.add_argument("--n-list", type=_n_list,
                    help="city counts for table 5 (default: 10,20,50,100)")
-    p.add_argument("--iters-tol", type=_tolerance, default=0.15,
-                   help="relative tolerance on mean iterations")
-    p.add_argument("--ratio-tol", type=_tolerance, default=0.03,
-                   help="absolute tolerance on mean ratio")
-    p.add_argument("--success-tol", type=_tolerance, default=0.05,
-                   help="absolute tolerance on success rate")
     p.set_defaults(run=cmd_reproduce)
     return parser
 

@@ -71,8 +71,40 @@ PRESETS = {
                               element_c=frozenset({ElementC.O_CONST})),
 }
 
-# Reference results bundled for side-by-side comparison in `reproduce`:
-# per variant at n=20, (success rate, mean iterations, mean ratio).
+
+@dataclass(frozen=True)
+class Band:
+    """The values that pass one reference cell: within tol of center (tol a
+    share of center when relative), or lo <= value <= hi when center is None."""
+
+    center: float | None = None
+    tol: float = 0.0
+    relative: bool = False
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def holds(self, value: float) -> bool:
+        if self.center is None:
+            return self.lo <= value <= self.hi
+        return abs(value - self.center) <= (self.tol * self.center if self.relative else self.tol)
+
+    def __str__(self) -> str:
+        if self.center is None:
+            return f">={self.lo:g}" if self.hi == math.inf else f"[{self.lo:g}, {self.hi:g}]"
+        if self.tol == 0:
+            return f"={self.center:g}"
+        return f"{self.center:g} +-" + (f"{self.tol:.0%}" if self.relative else f"{self.tol:g}")
+
+
+# The compared means of a batch, in the order of a reference row, with the
+# decimals each is printed with.
+COMPARED = {"success_rate": 3, "avg_iterations": 1, "avg_ratio": 4}
+# The band every reference row shares, as Band's (tol, relative): success within
+# 0.05 of the reference unless the row has its own success band, mean iterations
+# within 15% and mean ratio within 0.03.
+RULES = {"success_rate": (0.05, False), "avg_iterations": (0.15, True), "avg_ratio": (0.03, False)}
+
+# Reference results per variant at n=20: (success rate, mean iterations, mean ratio).
 REFERENCE_N20 = {
     "original": (0.992, 1870.6, 0.951),
     "a1": (0.000, None, None),
@@ -85,6 +117,8 @@ REFERENCE_N20 = {
     "c2": (0.991, 1874.8, 0.953),
     "c3": (0.460, 2578.7, 1.000),
 }
+SUCCESS_BANDS_N20 = {"original": Band(lo=0.97), "a1": Band(0.0), "a2": Band(lo=0.96),
+                     "c1": Band(lo=0.99), "c3": Band(0.46, 0.10)}
 
 # Improved-model reference sweep: n -> (success rate, mean iterations, mean ratio).
 REFERENCE_IMPROVED_SWEEP = {
@@ -96,6 +130,10 @@ REFERENCE_IMPROVED_SWEEP = {
     70: (1.00, 515.9, 0.871), 80: (1.00, 550.6, 0.867), 90: (1.00, 581.4, 0.876),
     100: (1.00, 622.2, 0.859),
 }
+SUCCESS_BANDS_SWEEP = {20: Band(1.0)}
+# The sweep's fitted log-log exponent, and its mean iterations at n=100 over n=10.
+SWEEP_EXPONENT_BAND = Band(lo=0.40, hi=0.60)
+SWEEP_ENDPOINTS_BAND = Band(3.12, *RULES["avg_iterations"])
 
 REFERENCE_TABLES = {
     "2": ["a1", "a2", "original"],
@@ -206,6 +244,36 @@ def standard_error(stats: AggregateStats, field: str) -> float | None:
         return math.sqrt(p * (1.0 - p) / stats.trials)
     std = getattr(stats, field.replace("avg_", "std_"))
     return None if std is None else std / math.sqrt(round(stats.success_rate * stats.trials))
+
+
+def reference_cell(stats: AggregateStats, field: str) -> tuple:
+    """(value, SE, reference, band, digits) of one compared mean of a batch,
+    the arguments of `score`. The reference row is the improved sweep's at
+    the batch's n for 'improved', else the variant's n=20 row; a cell with
+    no reference has no band."""
+    if stats.variant == "improved":
+        refs, success = REFERENCE_IMPROVED_SWEEP[stats.n], SUCCESS_BANDS_SWEEP.get(stats.n)
+    else:
+        refs, success = REFERENCE_N20[stats.variant], SUCCESS_BANDS_N20.get(stats.variant)
+    ref = dict(zip(COMPARED, refs))[field]
+    band = None if ref is None else Band(ref, *RULES[field])
+    if field == "success_rate" and success is not None:
+        band = success
+    return getattr(stats, field), standard_error(stats, field), ref, band, COMPARED[field]
+
+
+def score(value, se, ref, band, digits) -> tuple[bool, str]:
+    """Verdict and 'mean +-SE (gap in SE) vs reference' text of one compared
+    mean. A cell with no band passes; a missing value (nothing solved) fails
+    any band. The SE needs two solved trials, the gap a reference and a
+    positive SE."""
+    ok = band is None or (value is not None and band.holds(value))
+    shown = "-" if ref is None else f"{ref:.{digits}f}"
+    if value is None:
+        return ok, f"- vs {shown}"
+    spread = "" if se is None else f" +-{se:.{digits}f}"
+    gap = f" ({(value - ref) / se:+.1f} SE)" if ref is not None and se else ""
+    return ok, f"{value:.{digits}f}{spread}{gap} vs {shown}"
 
 
 def fit_scaling(stats: list[AggregateStats]) -> ScalingFit:

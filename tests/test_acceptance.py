@@ -3,9 +3,10 @@
 Statistical criteria run 200 seeded trials (100 or 1000 where stated) under
 global seed 0 with fresh maps per trial. Each test records one PASS/FAIL
 line (echoed in the terminal summary) before asserting, so a red criterion
-still reports its measured values. Every mean compared with a reference
-is printed with its standard error and its gap to the reference in
-standard errors, so noise can be told from signal.
+still reports its measured values. Criteria 1-9 score each reference cell
+with harness.score against its band in harness, as `reproduce` does, and
+print it with its standard error and its gap to the reference in standard
+errors, so noise can be told from signal.
 """
 
 import itertools
@@ -16,14 +17,15 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from amoebatsp.dynamics import AmoebaState, ElementA, VariantConfig, step
-from amoebatsp.harness import (REFERENCE_IMPROVED_SWEEP, fit_scaling, preset, run_batch,
-                               standard_error)
+from amoebatsp.harness import (COMPARED, SWEEP_ENDPOINTS_BAND, SWEEP_EXPONENT_BAND, fit_scaling,
+                               preset, reference_cell, run_batch, score, standard_error)
 from amoebatsp.instance import ParamSet, generate_map, route_length
 from amoebatsp.solver import run_trial
 from oracles import brute_force_optimum, cost_function
 
 GLOBAL_SEED = 0
 WORKERS = 2
+SHORT = {"success_rate": "success", "avg_iterations": "iters", "avg_ratio": "ratio"}
 
 
 def record(num: int, passed: bool, detail: str) -> None:
@@ -32,24 +34,16 @@ def record(num: int, passed: bool, detail: str) -> None:
     print(line)
 
 
-def within(value, center, rel):
-    return abs(value - center) <= rel * center
-
-
-def sem(s, field):
-    """harness.standard_error, nan where fewer than two trials solved."""
-    se = standard_error(s, field)
-    return math.nan if se is None else se
-
-
-def gap(value, se, ref, digits):
-    """'value +-SE, gap in sigma' against ref; the gap is absent when SE is 0."""
-    sigma = f", gap {(value - ref) / se:+.1f} sigma" if se > 0 else ""
-    return f"{value:.{digits}f} +-{se:.{digits}f} SE{sigma}"
-
-
-def stat(s, field, ref, digits):
-    return gap(getattr(s, field), sem(s, field), ref, digits)
+def scored(num: int, label: str, s, *fields) -> bool:
+    """Record criterion num from the named cells of batch s, each scored
+    against its band and printed with it; True when every cell passes."""
+    cells = [reference_cell(s, field) for field in fields]
+    verdicts = [score(*cell) for cell in cells]
+    ok = all(passed for passed, _ in verdicts)
+    parts = [f"{SHORT[field]}={text} ({cell[3]})"
+             for field, cell, (_, text) in zip(fields, cells, verdicts)]
+    record(num, ok, f"{label}: {', '.join(parts)}")
+    return ok
 
 
 @pytest.fixture(scope="module")
@@ -70,70 +64,36 @@ def sweep_improved():
 
 
 def test_criterion_01_original_model(batch_original):
-    s = batch_original
-    ok = (s.success_rate >= 0.97
-          and within(s.avg_iterations, 1870.6, 0.15)
-          and abs(s.avg_ratio - 0.951) <= 0.03)
-    record(1, ok, f"original n=20: success={stat(s, 'success_rate', 0.97, 3)} (>=0.97), "
-                  f"iters={stat(s, 'avg_iterations', 1870.6, 1)} (1870.6 +-15%), "
-                  f"ratio={stat(s, 'avg_ratio', 0.951, 4)} (0.951 +-0.03)")
-    assert s.success_rate >= 0.97
-    assert within(s.avg_iterations, 1870.6, 0.15), s.avg_iterations
-    assert abs(s.avg_ratio - 0.951) <= 0.03, s.avg_ratio
+    assert scored(1, "original n=20", batch_original, *COMPARED)
 
 
 def test_criterion_02_no_fluctuations_never_solves():
     s = run_batch(20, 100, preset("a1"), global_seed=GLOBAL_SEED, workers=WORKERS)
-    ok = s.success_rate == 0.0
-    record(2, ok, f"a1 n=20: success={s.success_rate:.3f} (expected exactly 0.000)")
-    assert s.success_rate == 0.0
+    assert scored(2, "a1 n=20", s, "success_rate")
 
 
 def test_criterion_03_normal_fluctuations():
     s = run_batch(20, 200, preset("a2"), global_seed=GLOBAL_SEED, workers=WORKERS)
-    ok = within(s.avg_iterations, 1326.8, 0.15) and s.success_rate >= 0.96
-    record(3, ok, f"a2 n=20: iters={stat(s, 'avg_iterations', 1326.8, 1)} (1326.8 +-15%), "
-                  f"success={stat(s, 'success_rate', 0.96, 3)} (>=0.96)")
-    assert within(s.avg_iterations, 1326.8, 0.15), s.avg_iterations
-    assert s.success_rate >= 0.96
+    assert scored(3, "a2 n=20", s, "avg_iterations", "success_rate")
 
 
 def test_criterion_04_denominator_n():
     s = run_batch(20, 200, preset("b4"), global_seed=GLOBAL_SEED, workers=WORKERS)
-    ok = within(s.avg_iterations, 1049.3, 0.15)
-    record(4, ok, f"b4 n=20: iters={stat(s, 'avg_iterations', 1049.3, 1)} (1049.3 +-15%)")
-    assert within(s.avg_iterations, 1049.3, 0.15), s.avg_iterations
+    assert scored(4, "b4 n=20", s, "avg_iterations")
 
 
 def test_criterion_05_constant_contraction():
     s = run_batch(20, 200, preset("c1"), global_seed=GLOBAL_SEED, workers=WORKERS)
-    ok = s.success_rate >= 0.99 and within(s.avg_iterations, 974.5, 0.15)
-    record(5, ok, f"c1 n=20: success={stat(s, 'success_rate', 0.99, 3)} (>=0.99), "
-                  f"iters={stat(s, 'avg_iterations', 974.5, 1)} (974.5 +-15%)")
-    assert s.success_rate >= 0.99
-    assert within(s.avg_iterations, 974.5, 0.15), s.avg_iterations
+    assert scored(5, "c1 n=20", s, "success_rate", "avg_iterations")
 
 
 def test_criterion_06_inner_step_function():
     s = run_batch(20, 200, preset("c3"), global_seed=GLOBAL_SEED, workers=WORKERS)
-    ok = abs(s.success_rate - 0.46) <= 0.10 and abs(s.avg_ratio - 1.000) <= 0.03
-    record(6, ok, f"c3 n=20: success={stat(s, 'success_rate', 0.46, 3)} (0.46 +-0.10), "
-                  f"ratio={stat(s, 'avg_ratio', 1.000, 4)} (1.000 +-0.03)")
-    assert abs(s.success_rate - 0.46) <= 0.10
-    assert abs(s.avg_ratio - 1.000) <= 0.03
+    assert scored(6, "c3 n=20", s, "success_rate", "avg_ratio")
 
 
 def test_criterion_07_improved_thousand_trials(batch_improved_1000):
-    s = batch_improved_1000
-    ok = (s.success_rate == 1.0
-          and within(s.avg_iterations, 276.3, 0.15)
-          and abs(s.avg_ratio - 0.934) <= 0.03)
-    record(7, ok, f"improved n=20 x1000: success={s.success_rate:.3f} (=1.00), "
-                  f"iters={stat(s, 'avg_iterations', 276.3, 1)} (276.3 +-15%), "
-                  f"ratio={stat(s, 'avg_ratio', 0.934, 4)} (0.934 +-0.03)")
-    assert s.success_rate == 1.0
-    assert within(s.avg_iterations, 276.3, 0.15), s.avg_iterations
-    assert abs(s.avg_ratio - 0.934) <= 0.03, s.avg_ratio
+    assert scored(7, "improved n=20 x1000", batch_improved_1000, *COMPARED)
 
 
 def test_criterion_08_sqrt_scaling(sweep_improved):
@@ -141,28 +101,29 @@ def test_criterion_08_sqrt_scaling(sweep_improved):
     s10, s100 = sweep_improved[10], sweep_improved[100]
     endpoints = s100.avg_iterations / s10.avg_iterations
     # delta-method standard error of a ratio of independent means
-    endpoints_se = endpoints * math.hypot(sem(s100, "avg_iterations") / s100.avg_iterations,
-                                          sem(s10, "avg_iterations") / s10.avg_iterations)
-    ok = 0.40 <= fit.exponent <= 0.60 and within(endpoints, 3.12, 0.15)
-    means = ", ".join(f"{n}: {stat(s, 'avg_iterations', REFERENCE_IMPROVED_SWEEP[n][1], 1)}"
+    endpoints_se = endpoints * math.hypot(
+        standard_error(s100, "avg_iterations") / s100.avg_iterations,
+        standard_error(s10, "avg_iterations") / s10.avg_iterations)
+    band = SWEEP_ENDPOINTS_BAND
+    ends_ok, ends = score(endpoints, endpoints_se, band.center, band, 3)
+    ok = SWEEP_EXPONENT_BAND.holds(fit.exponent) and ends_ok
+    means = ", ".join(f"{n}: {score(*reference_cell(s, 'avg_iterations'))[1]}"
                       for n, s in sweep_improved.items())
-    record(8, ok, f"improved sweep: exponent={fit.exponent:.3f} ([0.40, 0.60]), "
-                  f"iters(100)/iters(10)={gap(endpoints, endpoints_se, 3.12, 3)} (3.12 +-15%); "
-                  f"iters vs reference rows {means}")
-    assert 0.40 <= fit.exponent <= 0.60, fit.exponent
-    assert within(endpoints, 3.12, 0.15), endpoints
+    record(8, ok, f"improved sweep: exponent={fit.exponent:.3f} ({SWEEP_EXPONENT_BAND}), "
+                  f"iters(100)/iters(10)={ends} ({band}); iters vs reference rows {means}")
+    assert ok
 
 
 def test_criterion_09_ratio_improves_with_n(sweep_improved):
-    r100 = sweep_improved[100].avg_ratio
-    r10 = sweep_improved[10].avg_ratio
-    se100, se10 = sem(sweep_improved[100], "avg_ratio"), sem(sweep_improved[10], "avg_ratio")
-    ok = abs(r100 - 0.859) <= 0.03 and r100 < r10
-    record(9, ok, f"improved sweep: ratio(100)={gap(r100, se100, 0.859, 4)} (0.859 +-0.03), "
-                  f"ratio(10)={r10:.4f} +-{se10:.4f} SE (must be higher, by "
-                  f"{(r10 - r100) / math.hypot(se10, se100):.1f} sigma)")
-    assert abs(r100 - 0.859) <= 0.03, r100
-    assert r100 < r10
+    s10, s100 = sweep_improved[10], sweep_improved[100]
+    se10, se100 = standard_error(s10, "avg_ratio"), standard_error(s100, "avg_ratio")
+    cell = reference_cell(s100, "avg_ratio")
+    ratio_ok, text = score(*cell)
+    ok = ratio_ok and s100.avg_ratio < s10.avg_ratio
+    record(9, ok, f"improved sweep: ratio(100)={text} ({cell[3]}), "
+                  f"ratio(10)={s10.avg_ratio:.4f} +-{se10:.4f} SE (must be higher, by "
+                  f"{(s10.avg_ratio - s100.avg_ratio) / math.hypot(se10, se100):.1f} sigma)")
+    assert ok
 
 
 def test_criterion_10_exact_conservation():

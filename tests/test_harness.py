@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 
 from amoebatsp.dynamics import ElementA, ElementB, ElementC, VariantConfig
 from amoebatsp.harness import (
+    COMPARED,
     PRESETS,
     REFERENCE_IMPROVED_SWEEP,
+    REFERENCE_N20,
+    SWEEP_ENDPOINTS_BAND,
+    SWEEP_EXPONENT_BAND,
     AggregateStats,
     aggregate,
     fit_scaling,
     preset,
     read_results_csv,
+    reference_cell,
     run_batch,
+    score,
     trial_seeds,
     write_fit_json,
     write_plot_data,
@@ -212,14 +218,68 @@ class TestAggregate:
         assert s.std_iterations is None
 
 
+# one cell of a 200-trial batch: (variant, n, field, value, spread of the
+# solved trials) -> (verdict, text); success's SE comes from the rate
+SCORED_CELLS = [
+    # success floors are inclusive: original >= 0.97 (194/200), a2 >= 0.96
+    ("original", 20, "success_rate", 194 / 200, None, True, "0.970 +-0.012 (-1.8 SE) vs 0.992"),
+    ("original", 20, "success_rate", 0.965, None, False, "0.965 +-0.013 (-2.1 SE) vs 0.992"),
+    ("a2", 20, "success_rate", 0.96, None, True, "0.960 +-0.014 (-1.9 SE) vs 0.986"),
+    ("a2", 20, "success_rate", 0.94, None, False, "0.940 +-0.017 (-2.7 SE) vs 0.986"),
+    # c3 within 0.10 of 0.46; a1 exactly 0 and improved n=20 exactly 1, where SE 0 prints no gap
+    ("c3", 20, "success_rate", 0.555, None, True, "0.555 +-0.035 (+2.7 SE) vs 0.460"),
+    ("c3", 20, "success_rate", 0.35, None, False, "0.350 +-0.034 (-3.3 SE) vs 0.460"),
+    ("a1", 20, "success_rate", 0.0, None, True, "0.000 +-0.000 vs 0.000"),
+    ("a1", 20, "success_rate", 0.005, None, False, "0.005 +-0.005 (+1.0 SE) vs 0.000"),
+    ("improved", 20, "success_rate", 1.0, None, True, "1.000 +-0.000 vs 1.000"),
+    ("improved", 20, "success_rate", 0.995, None, False, "0.995 +-0.005 (-1.0 SE) vs 1.000"),
+    # any other row within 0.05 of its reference, compared as |value - reference| <= 0.05
+    ("improved", 10, "success_rate", 0.955, None, True, "0.955 +-0.015 (-3.1 SE) vs 1.000"),
+    ("improved", 10, "success_rate", 0.95, None, False, "0.950 +-0.015 (-3.2 SE) vs 1.000"),
+    # iterations within 15% of the reference, ratio within 0.03, edges included
+    ("original", 20, "avg_iterations", 1590.01, 20, True, "1590.0 +-1.4 (-198.4 SE) vs 1870.6"),
+    ("original", 20, "avg_iterations", 1590.0, 20, False, "1590.0 +-1.4 (-198.4 SE) vs 1870.6"),
+    ("original", 20, "avg_ratio", 0.921, 0.02, True, "0.9210 +-0.0014 (-21.2 SE) vs 0.9510"),
+    ("original", 20, "avg_ratio", 0.92, 0.02, False, "0.9200 +-0.0014 (-21.9 SE) vs 0.9510"),
+    # nothing solved fails a reference; a cell with no reference passes
+    ("a2", 20, "avg_iterations", None, None, False, "- vs 1326.8"),
+    ("a1", 20, "avg_iterations", None, None, True, "- vs -"),
+    # one solved trial has no SE, so no gap; an SE of 0 has no gap
+    ("a1", 20, "avg_iterations", 2500.0, None, True, "2500.0 vs -"),
+    ("c1", 20, "avg_iterations", 900.0, None, True, "900.0 vs 974.5"),
+    ("c1", 20, "avg_iterations", 974.5, 0.0, True, "974.5 +-0.0 vs 974.5"),
+]
+
+
+class TestScore:
+    @pytest.mark.parametrize("variant, n, field, value, std, ok, text", SCORED_CELLS,
+                             ids=[f"{row[0]}-{row[1]}-{row[2]}-{row[3]}" for row in SCORED_CELLS])
+    def test_cell(self, variant, n, field, value, std, ok, text):
+        s = AggregateStats(variant, n, 200, 1.0, None, None, None, None)
+        setattr(s, field, value)
+        if field != "success_rate":
+            setattr(s, field.replace("avg_", "std_"), std)
+        assert score(*reference_cell(s, field)) == (ok, text)
+
+    def test_reference_values_pass_their_own_bands(self):
+        # a reproduction equal to the paper passes every row
+        rows = [(name, 20, ref) for name, ref in REFERENCE_N20.items()]
+        rows += [("improved", n, ref) for n, ref in REFERENCE_IMPROVED_SWEEP.items()]
+        for name, n, (rate, iters, ratio) in rows:
+            s = AggregateStats(name, n, 200, rate, iters, None, ratio, None)
+            assert all(score(*reference_cell(s, field))[0] for field in COMPARED), (name, n)
+
+
 class TestFitScaling:
     def test_reference_column_exponent_near_half(self):
         fit = fit_scaling(stats_from_points(SWEEP_COLUMN))
         assert fit.exponent == pytest.approx(0.49, abs=0.05)
+        assert SWEEP_EXPONENT_BAND.holds(fit.exponent)
         assert fit.r_squared > 0.99
 
     def test_reference_endpoints_ratio(self):
         assert 622.2 / 199.5 == pytest.approx(3.12, abs=0.01)
+        assert SWEEP_ENDPOINTS_BAND.holds(622.2 / 199.5)
 
     def test_linear_synthetic_gives_exponent_one(self):
         points = [(n, 7.0 * n) for n in (10, 20, 40, 80)]
